@@ -15,15 +15,12 @@ import sys
 
 from wordrep import catalog
 from wordrep.core import Word
-from wordrep.verify import pattern_counts, verify_k11
-from wordrep._kernels import pair_index
-
-
-from wordrep import _kernels
+from wordrep.verify import verify_k11
+from wordrep._kernels import pair_index, word_pair_counts
 
 
 def energy(letters, n, adj):
-    counts = _kernels.word_pair_counts(letters, n)
+    counts = word_pair_counts(letters, n)
     bad = 0
     for i in range(n):
         for j in range(i + 1, n):

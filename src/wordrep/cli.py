@@ -195,6 +195,9 @@ def _cmd_orient(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    need = 2 if args.kind == "remove-edges" else 1
+    if len(args.inputs) < need:
+        raise CliError(f"construct {args.kind} needs {need} input(s), got {len(args.inputs)}")
     compact = args.compact
     if args.kind == "mycielski-word":
         word = mycielski_cycle_word(int(args.inputs[0]))
@@ -272,14 +275,20 @@ def _cmd_census(args) -> int:
         if args.graph6 == "-":
             lines = sys.stdin.read().splitlines()
         else:
-            lines = Path(args.graph6).read_text().splitlines()
+            try:
+                lines = Path(args.graph6).read_text().splitlines()
+            except OSError as exc:
+                raise CliError(f"cannot read {args.graph6!r}: {exc.strerror}")
         result = census_from_graph6(lines, jobs=args.jobs)
     else:
         result = census_non_word_representable(args.n, jobs=args.jobs)
     print(f"n={result.n}: examined {result.examined} graphs, "
           f"{len(result.non_word_representable)} non-word-representable")
     if args.emit_graph6:
-        out = sys.stdout if args.emit_graph6 == "-" else open(args.emit_graph6, "w")
+        try:
+            out = sys.stdout if args.emit_graph6 == "-" else open(args.emit_graph6, "w")
+        except OSError as exc:
+            raise CliError(f"cannot write {args.emit_graph6!r}: {exc.strerror}")
         try:
             for G in result.non_word_representable:
                 print(write_graph6(G), file=out)
@@ -303,6 +312,8 @@ def _cmd_catalog(args) -> int:
             print(line)
         return 0 if report.all_ok else 1
     if args.action == "export":
+        if args.name is None:
+            raise CliError("usage: catalog export <name>")
         entry = cat.get(args.name)
         if args.format == "graph6":
             print(write_graph6(entry.graph))

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
+from . import _kernels
+
 _LABEL_RE = re.compile(r"^\S+$")
 
 
@@ -367,3 +369,36 @@ def iter_mask(mask: int) -> Iterator[int]:
             yield i
         mask >>= 1
         i += 1
+
+
+# -- canonical form ----------------------------------------------------
+#
+# Canonical forms are minimum adjacency bitstrings over orderings that
+# respect an iterated-degree (WL-style) vertex partition; no external
+# canonical-labeling dependency, acceptable because the built-in generator
+# stops at n = 8.
+
+
+def _refined_classes(G: Graph) -> list[list[int]]:
+    """Ordered vertex partition by iterated neighbour-degree colors."""
+    colors: list[tuple] = [(G.degree(i),) for i in range(G.n)]
+    while True:
+        new = [
+            (colors[i], tuple(sorted(colors[j] for j in iter_mask(G.adj[i]))))
+            for i in range(G.n)
+        ]
+        if len(set(new)) == len(set(colors)):
+            break
+        colors = new
+    distinct = sorted(set(colors))
+    classes: list[list[int]] = [[] for _ in distinct]
+    rank = {c: r for r, c in enumerate(distinct)}
+    for i, c in enumerate(colors):
+        classes[rank[c]].append(i)
+    return classes
+
+
+def canonical_form(G: Graph) -> tuple[int, int]:
+    """(n, bits) canonical key: equal exactly for isomorphic graphs."""
+    bits = _kernels.canonical_min_bits(G.n, G.adj, _refined_classes(G))
+    return (G.n, bits)

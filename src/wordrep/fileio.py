@@ -24,23 +24,29 @@ def _lines(text: str):
             yield lineno, line
 
 
-def parse_graph(text: str) -> Graph:
+def _parse_pairs(text: str, directive: str) -> tuple[list[str], list[tuple[str, str]]]:
+    """The vertices line and the ``directive:`` pairs of a graph-like file."""
     vertices: list[str] | None = None
-    edges: list[tuple[str, str]] = []
+    pairs: list[tuple[str, str]] = []
     for lineno, line in _lines(text):
         if line.startswith("vertices:"):
             if vertices is not None:
                 raise ParseError(f"line {lineno}: duplicate vertices line")
             vertices = line[len("vertices:"):].split()
-        elif line.startswith("edge:"):
-            parts = line[len("edge:"):].split()
+        elif line.startswith(directive + ":"):
+            parts = line[len(directive) + 1:].split()
             if len(parts) != 2:
-                raise ParseError(f"line {lineno}: edge needs exactly two endpoints")
-            edges.append((parts[0], parts[1]))
+                raise ParseError(f"line {lineno}: {directive} needs exactly two endpoints")
+            pairs.append((parts[0], parts[1]))
         else:
             raise ParseError(f"line {lineno}: unrecognized directive {line.split(':')[0]!r}")
     if vertices is None:
         raise ParseError("missing vertices line")
+    return vertices, pairs
+
+
+def parse_graph(text: str) -> Graph:
+    vertices, edges = _parse_pairs(text, "edge")
     try:
         return Graph.from_edges(vertices, edges)
     except ValueError as exc:
@@ -54,22 +60,7 @@ def print_graph(G: Graph) -> str:
 
 
 def parse_orientation(text: str) -> Orientation:
-    vertices: list[str] | None = None
-    arcs: list[tuple[str, str]] = []
-    for lineno, line in _lines(text):
-        if line.startswith("vertices:"):
-            if vertices is not None:
-                raise ParseError(f"line {lineno}: duplicate vertices line")
-            vertices = line[len("vertices:"):].split()
-        elif line.startswith("arc:"):
-            parts = line[len("arc:"):].split()
-            if len(parts) != 2:
-                raise ParseError(f"line {lineno}: arc needs exactly two endpoints")
-            arcs.append((parts[0], parts[1]))
-        else:
-            raise ParseError(f"line {lineno}: unrecognized directive {line.split(':')[0]!r}")
-    if vertices is None:
-        raise ParseError("missing vertices line")
+    vertices, arcs = _parse_pairs(text, "arc")
     try:
         base = Graph.from_edges(vertices, arcs)
         return Orientation.from_arcs(base, arcs)

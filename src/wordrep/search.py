@@ -2,22 +2,18 @@
 witness search, non-isomorphic graph enumeration, and the small-graph
 census of non-word-representable graphs.
 
-Canonical forms are minimum adjacency bitstrings over orderings that
-respect an iterated-degree (WL-style) vertex partition; no external
-canonical-labeling dependency, acceptable because the built-in generator
-stops at n = 8.  "Unknown" (budget exhausted) is a first-class outcome,
-raised as BudgetExceeded and never conflated with "nonexistent".
+"Unknown" (budget exhausted) is a first-class outcome, raised as
+BudgetExceeded and never conflated with "nonexistent".
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional
 
-from . import _kernels
-from .core import Graph, Word, iter_mask
-from .orient import BudgetExceeded, Orientation, search_semi_transitive
+from .core import Graph, Word, canonical_form, iter_mask
+from .orient import _Budget, search_semi_transitive
 from .verify import verify_k11
 
 
@@ -40,19 +36,7 @@ def is_word_representable(G: Graph) -> bool:
 # -- uniform representant search ---------------------------------------
 
 
-class _NodeCounter:
-    __slots__ = ("left",)
-
-    def __init__(self, limit: int):
-        self.left = limit
-
-    def tick(self):
-        self.left -= 1
-        if self.left < 0:
-            raise BudgetExceeded("word-search node budget exhausted")
-
-
-def _search_uniform_word(G: Graph, t: int, counter: _NodeCounter) -> Optional[Word]:
+def _search_uniform_word(G: Graph, t: int, counter: _Budget) -> Optional[Word]:
     """Backtracking search for a t-uniform 0-11-representant of G.
 
     Alternation pruning: a letter may never create an adjacent equal pair
@@ -141,10 +125,12 @@ def find_uniform_representant(G: Graph, budget: SearchBudget = SearchBudget()) -
     Returns None when provably none exists within that uniformity range
     (in particular whenever G is not word-representable at all); raises
     BudgetExceeded if the search space cannot be exhausted in time.
+    budget.max_nodes bounds the semi-transitive pre-check and the word
+    search separately, so one call may visit up to twice that many nodes.
     """
-    if not is_word_representable(G):
+    if search_semi_transitive(G, max_nodes=budget.max_nodes) is None:
         return None
-    counter = _NodeCounter(budget.max_nodes)
+    counter = _Budget(budget.max_nodes)
     for t in range(1, budget.max_uniformity + 1):
         w = _search_uniform_word(G, t, counter)
         if w is not None:
@@ -162,7 +148,7 @@ def find_k11_representant(
     least k+1 of them.  Every returned word is re-verified.
     """
     n = G.n
-    counter = _NodeCounter(budget.max_nodes)
+    counter = _Budget(budget.max_nodes)
     for length in range(n, budget.max_word_length + 1):
         got = _search_k11_word(G, k, length, counter)
         if got is not None:
@@ -170,7 +156,7 @@ def find_k11_representant(
     return None
 
 
-def _search_k11_word(G: Graph, k: int, length: int, counter: _NodeCounter) -> Optional[Word]:
+def _search_k11_word(G: Graph, k: int, length: int, counter: _Budget) -> Optional[Word]:
     n = G.n
     word: list[int] = []
     occ = [0] * n
@@ -240,31 +226,6 @@ def _search_k11_word(G: Graph, k: int, length: int, counter: _NodeCounter) -> Op
 # -- non-isomorphic enumeration ----------------------------------------
 
 
-def _refined_classes(G: Graph) -> list[list[int]]:
-    """Ordered vertex partition by iterated neighbour-degree colors."""
-    colors: list[tuple] = [(G.degree(i),) for i in range(G.n)]
-    while True:
-        new = [
-            (colors[i], tuple(sorted(colors[j] for j in iter_mask(G.adj[i]))))
-            for i in range(G.n)
-        ]
-        if len(set(new)) == len(set(colors)):
-            break
-        colors = new
-    distinct = sorted(set(colors))
-    classes: list[list[int]] = [[] for _ in distinct]
-    rank = {c: r for r, c in enumerate(distinct)}
-    for i, c in enumerate(colors):
-        classes[rank[c]].append(i)
-    return classes
-
-
-def canonical_form(G: Graph) -> tuple[int, int]:
-    """(n, bits) canonical key: equal exactly for isomorphic graphs."""
-    bits = _kernels.canonical_min_bits(G.n, G.adj, _refined_classes(G))
-    return (G.n, bits)
-
-
 def graph_from_canonical_bits(n: int, bits: int) -> Graph:
     nbits = n * (n - 1) // 2
     pairs = []
@@ -322,10 +283,22 @@ class CensusResult:
     non_word_representable: tuple[Graph, ...]
 
 
-def _census_probe(args: tuple[int, int]) -> Optional[tuple[int, int]]:
-    n, bits = args
-    G = graph_from_canonical_bits(n, bits)
-    return None if is_word_representable(G) else (n, bits)
+def _census(n: int, graphs: Iterable[Graph], jobs: int) -> CensusResult:
+    """Decide each canonical representative, in canonical order.
+
+    ``graphs`` are distinct canonical representatives sorted by canonical
+    form, so the result is identical across worker counts.
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    graphs = list(graphs)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            verdicts = list(pool.map(is_word_representable, graphs, chunksize=16))
+    else:
+        verdicts = list(map(is_word_representable, graphs))
+    bad = tuple(G for G, ok in zip(graphs, verdicts) if not ok)
+    return CensusResult(n=n, examined=len(graphs), non_word_representable=bad)
 
 
 def census_non_word_representable(n: int, jobs: int = 1) -> CensusResult:
@@ -336,16 +309,8 @@ def census_non_word_representable(n: int, jobs: int = 1) -> CensusResult:
     """
     if n > 7:
         raise ValueError("census supports n <= 7")
-    graphs = list(enumerate_nonisomorphic(n, connected_only=True))
-    work = [(n, canonical_form(G)[1]) for G in graphs]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            hits = [h for h in pool.map(_census_probe, work, chunksize=16) if h]
-    else:
-        hits = [h for h in map(_census_probe, work) if h]
-    hits.sort()
-    bad = tuple(graph_from_canonical_bits(nn, bits) for nn, bits in hits)
-    return CensusResult(n=n, examined=len(graphs), non_word_representable=bad)
+    # the generator yields graph_from_canonical_bits graphs in canonical order
+    return _census(n, enumerate_nonisomorphic(n, connected_only=True), jobs)
 
 
 def census_from_graph6(lines, jobs: int = 1) -> CensusResult:
@@ -363,16 +328,8 @@ def census_from_graph6(lines, jobs: int = 1) -> CensusResult:
         forms.add(canonical_form(G))
     if len(n_seen) > 1:
         raise ValueError("graph6 stream mixes vertex counts")
-    work = sorted(forms)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            hits = [h for h in pool.map(_census_probe, work, chunksize=16) if h]
-    else:
-        hits = [h for h in map(_census_probe, work) if h]
-    hits.sort()
-    bad = tuple(graph_from_canonical_bits(nn, bits) for nn, bits in hits)
     n = next(iter(n_seen)) if n_seen else 0
-    return CensusResult(n=n, examined=len(work), non_word_representable=bad)
+    return _census(n, (graph_from_canonical_bits(n, bits) for _, bits in sorted(forms)), jobs)
 
 
 # -- chromatic number --------------------------------------------------

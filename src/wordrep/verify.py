@@ -9,11 +9,10 @@ ordinary word-representation by alternation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Optional
 
 from . import _kernels
-from .core import Graph, Word, count_pattern_11, induced_subword
+from .core import Graph, Word, canonical_form, induced_subword
 
 
 @dataclass(frozen=True)
@@ -41,6 +40,15 @@ def pattern_counts(w: Word) -> list[int]:
     return _kernels.word_pair_counts(w.letters, len(w.alphabet))
 
 
+def _counts_of_full_word(w: Word) -> list[int]:
+    """pattern_counts(w), after checking that every alphabet letter occurs."""
+    present = set(w.letters)
+    if len(present) != len(w.alphabet):
+        missing = sorted(set(w.alphabet) - {w.alphabet[a] for a in present})
+        raise ValueError(f"letters never occur: {missing}")
+    return pattern_counts(w)
+
+
 def graph_of_word(w: Word, k: int) -> Graph:
     """The graph that ``w`` represents at level ``k``.
 
@@ -49,12 +57,8 @@ def graph_of_word(w: Word, k: int) -> Graph:
     """
     if k < 0:
         raise ValueError("k must be non-negative")
+    counts = _counts_of_full_word(w)
     n = len(w.alphabet)
-    present = set(w.letters)
-    if len(present) != n:
-        missing = sorted(set(w.alphabet) - {w.alphabet[a] for a in present})
-        raise ValueError(f"letters never occur: {missing}")
-    counts = pattern_counts(w)
     pairs = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -67,12 +71,8 @@ def verify_k11(w: Word, G: Graph, k: int) -> Verdict:
     """Check that ``w`` is a k-11-representant of ``G``."""
     if set(w.alphabet) != set(G.labels):
         raise ValueError("word alphabet does not match graph vertices")
+    counts = _counts_of_full_word(w)
     n = len(w.alphabet)
-    present = set(w.letters)
-    if len(present) != n:
-        missing = sorted(set(w.alphabet) - {w.alphabet[a] for a in present})
-        raise ValueError(f"letters never occur: {missing}")
-    counts = pattern_counts(w)
     aidx = {lab: a for a, lab in enumerate(w.alphabet)}
     for i in range(G.n):
         for j in range(i + 1, G.n):
@@ -123,30 +123,16 @@ def is_permutational(w: Word) -> bool:
 def induces_copy(G: Graph, subset, H: Graph) -> bool:
     """Does the subset induce a subgraph isomorphic to H?
 
-    Brute-force over vertex bijections with degree pruning; meant for
-    paper-scale subgraphs (|subset| <= 10).
+    Rejects on edge count or degree sequence, then compares canonical
+    forms, whose cost grows with the product of the factorials of the
+    refined vertex classes; meant for paper-scale subgraphs (|subset| <= 7,
+    or larger ones whose vertices the refinement mostly tells apart).
     """
     sub = G.induced_subgraph(subset)
     if sub.n != H.n:
         raise ValueError("subset size does not match |V(H)|")
-    return _isomorphic(sub, H)
-
-
-def _isomorphic(A: Graph, B: Graph) -> bool:
-    if A.n != B.n or A.num_edges != B.num_edges:
+    if sub.num_edges != H.num_edges:
         return False
-    if sorted(A.degree(i) for i in range(A.n)) != sorted(B.degree(i) for i in range(B.n)):
+    if sorted(map(sub.degree, range(sub.n))) != sorted(map(H.degree, range(H.n))):
         return False
-    degB = [B.degree(i) for i in range(B.n)]
-    degA = [A.degree(i) for i in range(A.n)]
-    for perm in permutations(range(B.n)):
-        # perm maps A-index -> B-index
-        if any(degA[i] != degB[perm[i]] for i in range(A.n)):
-            continue
-        if all(
-            A.has_edge(i, j) == B.has_edge(perm[i], perm[j])
-            for i in range(A.n)
-            for j in range(i + 1, A.n)
-        ):
-            return True
-    return False
+    return canonical_form(sub) == canonical_form(H)

@@ -167,6 +167,14 @@ class TestConstruct:
         G = parse_graph(out[out.index("vertices:"):])
         assert not G.has_edge_labels("1", "2")
 
+    @pytest.mark.parametrize("argv", [
+        ["mycielski-word"], ["three-perm"], ["double"], ["split"], ["comp-ind"],
+        ["remove-edges", "graph12"], ["remove-matching"],
+    ], ids=lambda argv: argv[0])
+    def test_too_few_inputs_exit_2(self, capsys, argv):
+        assert main(["construct", *argv]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_comp_ind(self, capsys, tmp_path):
         p = tmp_path / "g.txt"
         p.write_text(
@@ -205,6 +213,20 @@ class TestCensus:
         assert "examined 21 graphs, 0 non-word-representable" in capsys.readouterr().out
 
 
+    def test_unwritable_emit_exit_2(self, capsys, tmp_path):
+        target = tmp_path / "no" / "such" / "dir" / "x.g6"
+        assert main(["census", "5", "--emit-graph6", str(target)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_missing_graph6_stream_exit_2(self, capsys, tmp_path):
+        assert main(["census", "--graph6", str(tmp_path / "missing.g6")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_jobs_zero_exit_2(self, capsys):
+        assert main(["census", "5", "--jobs", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
 class TestCatalog:
     def test_list(self, capsys):
         assert main(["catalog", "list"]) == 0
@@ -230,3 +252,7 @@ class TestCatalog:
 
     def test_export_unknown(self):
         assert main(["catalog", "export", "nope"]) == 2
+
+    def test_export_without_name_exit_2(self, capsys):
+        assert main(["catalog", "export"]) == 2
+        assert capsys.readouterr().err.startswith("error:")

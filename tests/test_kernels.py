@@ -5,8 +5,7 @@ import random
 import pytest
 
 from wordrep import _kernels, _kernels_py
-from wordrep.core import Graph
-from wordrep.search import _refined_classes
+from wordrep.core import Graph, _refined_classes
 
 try:
     from wordrep import _ext

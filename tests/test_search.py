@@ -4,7 +4,7 @@ import pytest
 
 from wordrep.core import Graph, complete_graph, cycle_graph, empty_graph, path_graph
 from wordrep.graph6 import write_graph6
-from wordrep.orient import BudgetExceeded
+from wordrep.orient import BudgetExceeded, search_semi_transitive
 from wordrep.search import (
     SearchBudget,
     canonical_form,
@@ -43,8 +43,15 @@ class TestBudget:
             SearchBudget(max_nodes=0)
 
     def test_word_search_budget_exhaustion(self):
+        C6 = cycle_graph(tuple("123456"))
+        # 7 nodes are enough for the pre-check, so the word search raises
+        assert search_semi_transitive(C6, max_nodes=7) is not None
         with pytest.raises(BudgetExceeded):
-            find_uniform_representant(cycle_graph(tuple("123456")), SearchBudget(max_nodes=2))
+            find_uniform_representant(C6, SearchBudget(max_nodes=7))
+
+    def test_pre_check_budget_exhaustion(self):
+        with pytest.raises(BudgetExceeded):
+            find_uniform_representant(_w5(), SearchBudget(max_nodes=3))
 
 
 class TestFindUniform:
@@ -160,11 +167,24 @@ class TestCensus:
     def test_range_check(self):
         with pytest.raises(ValueError):
             census_non_word_representable(8)
+        with pytest.raises(ValueError, match="jobs"):
+            census_non_word_representable(5, jobs=0)
+        with pytest.raises(ValueError, match="jobs"):
+            census_from_graph6([write_graph6(complete_graph(tuple("123")))], jobs=0)
 
     def test_census_from_graph6(self):
-        lines = [write_graph6(G) for G in enumerate_nonisomorphic(6, connected_only=True)]
+        # shuffled lines of relabelled graphs give the built-in census exactly
+        rng = random.Random(6)
+        lines = []
+        for G in enumerate_nonisomorphic(6, connected_only=True):
+            perm = list(range(6))
+            rng.shuffle(perm)
+            H = Graph.from_index_edges(G.labels, [(perm[i], perm[j]) for i, j in G.edges()])
+            lines.append(write_graph6(H))
         lines += lines[:10]  # duplicates must be deduplicated
+        rng.shuffle(lines)
         r = census_from_graph6(lines)
+        assert r == census_non_word_representable(6)
         assert r.examined == 112
         assert len(r.non_word_representable) == 1
 

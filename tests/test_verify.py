@@ -4,6 +4,7 @@ from itertools import combinations, product
 import pytest
 
 from oracles import random_word, slow_graph_of_word, slow_pattern_11
+from wordrep import catalog
 from wordrep.core import (
     Graph,
     Word,
@@ -148,6 +149,14 @@ class TestInducesCopy:
         C5 = cycle_graph(("a", "b", "c", "d", "e"))
         assert induces_copy(W5, {"1", "2", "3", "4", "5"}, C5)
         assert not induces_copy(W5, {"1", "2", "3", "4", "6"}, C5)
+        # BW3 with its vertices renamed and listed in another order
+        bw3 = catalog.get("bw3").graph
+        rename = {lab: f"v{lab}" for lab in bw3.labels}
+        G = Graph.from_edges(
+            [rename[lab] for lab in reversed(bw3.labels)],
+            [(rename[u], rename[v]) for u, v in bw3.edge_labels()],
+        )
+        assert induces_copy(G, G.labels, bw3)
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="size"):
@@ -158,3 +167,10 @@ class TestInducesCopy:
         P3 = path_graph(("a", "b", "c"))
         assert not induces_copy(K3, K3.labels, P3)
         assert induces_copy(P3, P3.labels, path_graph(("x", "y", "z")))
+        # same degree sequence, not isomorphic: degrees cannot decide it
+        C6 = cycle_graph(tuple("123456"))
+        two_K3 = Graph.from_edges(tuple("abcdef"), [
+            ("a", "b"), ("b", "c"), ("a", "c"), ("d", "e"), ("e", "f"), ("d", "f"),
+        ])
+        assert not induces_copy(C6, C6.labels, two_K3)
+        assert not induces_copy(two_K3, two_K3.labels, C6)
