@@ -132,6 +132,57 @@ def forced_shortcut_pair(n, succ, adj):
     return None
 
 
+def add_arc(n, succ, adj, desc, anc, x, y):
+    """Update reachability for a new arc x->y and check the intervals it opens.
+
+    ``succ`` already holds x->y; ``desc``/``anc`` are the strict descendant
+    and ancestor masks of the orientation without it, which must have had no
+    forced violation (see ``forced_shortcut_pair``).  Returns None when x->y
+    closes a directed cycle or forces a violation, else the new
+    ``(desc, anc)`` as fresh lists.
+
+    Only arcs a->b with a in up = anc[x]|x and b in down = desc[y]|y need
+    checking.  A violation that is new uses x->y on the arc a->b itself or
+    on a path a~>u~>w~>b, so a reaches x and y reaches b; neither path
+    passes through x->y, since that would make y reach x.
+    """
+    if desc[y] >> x & 1:
+        return None
+    up = anc[x] | (1 << x)
+    down = desc[y] | (1 << y)
+    desc = list(desc)
+    anc = list(anc)
+    m = up
+    while m:
+        low = m & -m
+        desc[low.bit_length() - 1] |= down
+        m ^= low
+    m = down
+    while m:
+        low = m & -m
+        anc[low.bit_length() - 1] |= up
+        m ^= low
+    ma = up
+    while ma:
+        low = ma & -ma
+        a = low.bit_length() - 1
+        ma ^= low
+        mb = succ[a] & down
+        while mb:
+            lowb = mb & -mb
+            b = lowb.bit_length() - 1
+            mb ^= lowb
+            between = (desc[a] & anc[b]) | low | lowb
+            mu = between
+            while mu:
+                lowu = mu & -mu
+                u = lowu.bit_length() - 1
+                mu ^= lowu
+                if desc[u] & between & ~adj[u]:
+                    return None
+    return desc, anc
+
+
 def canonical_min_bits(n, adj, classes):
     """Minimum upper-triangle adjacency bitstring over class-respecting orders.
 

@@ -14,8 +14,10 @@ import os
 import sys
 from pathlib import Path
 
+from . import __version__
 from . import catalog as cat
 from . import fileio
+from ._kernels import HAVE_EXT
 from .construct import (
     ConstructionError,
     SplitPartition,
@@ -196,8 +198,11 @@ def _cmd_orient(args) -> int:
 
 def _cmd_construct(args) -> int:
     need = 2 if args.kind == "remove-edges" else 1
+    most = 2 if args.kind in ("remove-edges", "remove-matching") else 1
     if len(args.inputs) < need:
         raise CliError(f"construct {args.kind} needs {need} input(s), got {len(args.inputs)}")
+    if len(args.inputs) > most:
+        raise CliError(f"construct {args.kind} takes at most {most} input(s), got {len(args.inputs)}")
     compact = args.compact
     if args.kind == "mycielski-word":
         word = mycielski_cycle_word(int(args.inputs[0]))
@@ -330,6 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wordrep",
         description="Word-representation and k-11-representation toolkit",
+    )
+    parser.add_argument(
+        "--version",
+        action="version",
+        version=f"%(prog)s {__version__} (kernels: {'compiled' if HAVE_EXT else 'pure'})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -199,34 +199,31 @@ def search_semi_transitive(G: Graph, max_nodes: Optional[int] = None) -> Optiona
     semi-transitive characterization proves G non-word-representable.
     Branches deterministically: for the edge {u, v} with u < v the arc
     u->v is tried first.  ``max_nodes`` bounds the number of search nodes;
-    exceeding it raises BudgetExceeded (outcome unknown).
+    exceeding it raises BudgetExceeded (outcome unknown).  Reachability is
+    carried down the recursion and updated per arc (``_kernels.add_arc``),
+    so each node checks only the intervals through its new arc.
     """
     edges = _edge_order(G)
     n = G.n
     succ = [0] * n
     budget = _Budget(max_nodes)
 
-    def consistent(x: int, y: int) -> bool:
-        # adding x->y: reject a directed cycle or a violation that no
-        # orientation of the remaining edges can repair
-        try:
-            return _kernels.forced_shortcut_pair(n, succ, G.adj) is None
-        except ValueError:  # cycle
-            return False
-
-    def rec(k: int) -> bool:
+    def rec(k: int, desc: list[int], anc: list[int]) -> bool:
         budget.tick()
         if k == len(edges):
             return True
         u, v = edges[k]
         for x, y in ((u, v), (v, u)):
             succ[x] |= 1 << y
-            if consistent(x, y) and rec(k + 1):
+            # None: x->y closes a directed cycle or forces a violation that
+            # no orientation of the remaining edges can repair
+            reach = _kernels.add_arc(n, succ, G.adj, desc, anc, x, y)
+            if reach is not None and rec(k + 1, *reach):
                 return True
             succ[x] &= ~(1 << y)
         return False
 
-    if rec(0):
+    if rec(0, [0] * n, [0] * n):
         return Orientation(G, tuple(succ))
     return None
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from itertools import permutations
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .core import Graph, Word, canonical_form, iter_mask
+from .core import Graph, Word, _refined_classes, canonical_form, iter_mask
 from .orient import _Budget, search_semi_transitive
 from .verify import verify_k11
 
@@ -239,26 +240,76 @@ def graph_from_canonical_bits(n: int, bits: int) -> Graph:
 
 
 _BUILTIN_LIMIT = 8
-_enum_cache: dict[int, list[int]] = {}
+_enum_cache: dict[tuple[int, bool], list[int]] = {}
 
 
-def _canonical_bits_upto(n: int) -> list[int]:
-    if n in _enum_cache:
-        return _enum_cache[n]
+def _image_mask(perm: Sequence[int], mask: int) -> int:
+    out = 0
+    for v in iter_mask(mask):
+        out |= 1 << perm[v]
+    return out
+
+
+def _automorphisms(G: Graph) -> list[tuple[int, ...]]:
+    """Every automorphism of G as an image tuple (p[v] is the image of v).
+
+    Only permutations that map each ``_refined_classes`` class onto itself
+    are tried: an automorphism preserves the refined colours.
+    """
+    classes = _refined_classes(G)
+    n = G.n
+    adj = G.adj
+    out = []
+    perm = [0] * n
+
+    def rec(ci: int):
+        if ci == len(classes):
+            if all(_image_mask(perm, adj[v]) == adj[perm[v]] for v in range(n)):
+                out.append(tuple(perm))
+            return
+        cls = classes[ci]
+        for images in permutations(cls):
+            for v, pv in zip(cls, images):
+                perm[v] = pv
+            rec(ci + 1)
+
+    rec(0)
+    return out
+
+
+def _canonical_bits_upto(n: int, connected: bool) -> list[int]:
+    """Sorted canonical bits of the graphs on n vertices (connected ones only
+    if ``connected``), grown by one-vertex extensions of the family on n - 1.
+
+    Every connected graph has a vertex whose removal leaves it connected, so
+    the connected family grows from connected parents alone, by a vertex with
+    a non-empty neighbourhood.  Extensions by masks that an automorphism of
+    the parent maps onto each other are isomorphic; only the smallest mask of
+    each orbit is canonicalized.
+    """
+    key = (n, connected)
+    if key in _enum_cache:
+        return _enum_cache[key]
     if n == 1:
         forms = [0]
     else:
         forms_set = set()
-        for bits in _canonical_bits_upto(n - 1):
+        labels = tuple(str(i + 1) for i in range(n))
+        for bits in _canonical_bits_upto(n - 1, connected):
             base = graph_from_canonical_bits(n - 1, bits)
-            labels = tuple(str(i + 1) for i in range(n))
             base_pairs = base.edges()
-            for nbh in range(1 << (n - 1)):
+            autos = _automorphisms(base)
+            seen = set()
+            # ascending order: the first mask met in an orbit is its smallest
+            for nbh in range(1 if connected else 0, 1 << (n - 1)):
+                if nbh in seen:
+                    continue
+                seen.update(_image_mask(p, nbh) for p in autos)
                 pairs = base_pairs + [(i, n - 1) for i in iter_mask(nbh)]
                 G = Graph.from_index_edges(labels, pairs)
                 forms_set.add(canonical_form(G)[1])
         forms = sorted(forms_set)
-    _enum_cache[n] = forms
+    _enum_cache[key] = forms
     return forms
 
 
@@ -266,11 +317,8 @@ def enumerate_nonisomorphic(n: int, connected_only: bool = False) -> Iterator[Gr
     """One representative per isomorphism class, deterministic canonical order."""
     if n < 1 or n > _BUILTIN_LIMIT:
         raise ValueError(f"built-in generator supports 1 <= n <= {_BUILTIN_LIMIT}")
-    for bits in _canonical_bits_upto(n):
-        G = graph_from_canonical_bits(n, bits)
-        if connected_only and not G.is_connected():
-            continue
-        yield G
+    for bits in _canonical_bits_upto(n, connected_only):
+        yield graph_from_canonical_bits(n, bits)
 
 
 # -- census ------------------------------------------------------------

@@ -69,6 +69,8 @@ def graph_of_word(w: Word, k: int) -> Graph:
 
 def verify_k11(w: Word, G: Graph, k: int) -> Verdict:
     """Check that ``w`` is a k-11-representant of ``G``."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
     if set(w.alphabet) != set(G.labels):
         raise ValueError("word alphabet does not match graph vertices")
     counts = _counts_of_full_word(w)

@@ -8,9 +8,11 @@ shortcuts (bit tricks, pruning, reachability reformulations).
 from __future__ import annotations
 
 from itertools import product
+from typing import Optional
 
+from wordrep import _kernels_py
 from wordrep.core import Graph, Word, iter_mask
-from wordrep.orient import Orientation
+from wordrep.orient import Orientation, _edge_order
 
 
 def slow_pattern_11(w: Word, x: str, y: str) -> int:
@@ -118,3 +120,35 @@ def random_word(rng, labels, extra: int) -> Word:
     seq = list(labels) + [rng.choice(labels) for _ in range(extra)]
     rng.shuffle(seq)
     return Word.from_labels(tuple(labels), seq)
+
+
+def slow_search_semi_transitive(G: Graph) -> tuple[Optional[tuple[int, ...]], int]:
+    """The semi-transitive search with full recomputation at every node.
+
+    Same edge order and branch order as ``orient.search_semi_transitive``,
+    but each node recomputes reachability and rescans every arc with the
+    reference ``forced_shortcut_pair``.  Returns (succ or None, node count).
+    """
+    edges = _edge_order(G)
+    n = G.n
+    succ = [0] * n
+    nodes = 0
+
+    def rec(k: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if k == len(edges):
+            return True
+        u, v = edges[k]
+        for x, y in ((u, v), (v, u)):
+            succ[x] |= 1 << y
+            try:
+                ok = _kernels_py.forced_shortcut_pair(n, succ, G.adj) is None
+            except ValueError:  # cycle
+                ok = False
+            if ok and rec(k + 1):
+                return True
+            succ[x] &= ~(1 << y)
+        return False
+
+    return (tuple(succ) if rec(0) else None), nodes

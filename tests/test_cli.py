@@ -48,6 +48,12 @@ class TestVerify:
     def test_missing_file_exit_2(self, w12_file):
         assert main(["verify", "/no/such/file", w12_file]) == 2
 
+    def test_negative_k_exit_2(self, capsys, graph12_file, w12_file):
+        assert main(["verify", graph12_file, w12_file, "-k", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
 
 class TestOrient:
     def test_check_catalog(self, capsys):
@@ -170,6 +176,17 @@ class TestConstruct:
     @pytest.mark.parametrize("argv", [
         ["mycielski-word"], ["three-perm"], ["double"], ["split"], ["comp-ind"],
         ["remove-edges", "graph12"], ["remove-matching"],
+        # surplus inputs are rejected too, not silently dropped; each of
+        # these succeeds without its last input
+        pytest.param(["mycielski-word", "5", "6"], id="mycielski-word-surplus"),
+        pytest.param(
+            ["remove-edges", "chvatal-augmented", "catalog:chvatal-augmented", "6"],
+            id="remove-edges-surplus",
+        ),
+        pytest.param(
+            ["remove-matching", "chvatal", "catalog:chvatal-augmented", "6", "--edge", "1,3", "--edge", "2,4"],
+            id="remove-matching-surplus",
+        ),
     ], ids=lambda argv: argv[0])
     def test_too_few_inputs_exit_2(self, capsys, argv):
         assert main(["construct", *argv]) == 2
@@ -256,3 +273,22 @@ class TestCatalog:
     def test_export_without_name_exit_2(self, capsys):
         assert main(["catalog", "export"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestVersion:
+    @pytest.mark.parametrize("have_ext, backend", [(False, "pure"), (True, "compiled")])
+    def test_version_names_backend(self, capsys, monkeypatch, have_ext, backend):
+        from wordrep import cli
+
+        monkeypatch.setattr(cli, "HAVE_EXT", have_ext)
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"wordrep 0.1.0 (kernels: {backend})\n"
+
+    def test_version_reports_loaded_backend(self, capsys):
+        from wordrep import HAVE_EXT
+
+        with pytest.raises(SystemExit):
+            main(["--version"])
+        assert capsys.readouterr().out.endswith(f"(kernels: {'compiled' if HAVE_EXT else 'pure'})\n")

@@ -1,18 +1,41 @@
 """Parity between the pure-Python kernels and the compiled extension."""
 
+import importlib.util
 import random
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import wordrep
 from wordrep import _kernels, _kernels_py
 from wordrep.core import Graph, _refined_classes
 
-try:
-    from wordrep import _ext
-except ImportError:
-    _ext = None
 
-needs_ext = pytest.mark.skipif(_ext is None, reason="compiled extension not built")
+@pytest.fixture(scope="session")
+def ext(tmp_path_factory):
+    """The shipped ``_ext.c``, compiled into a temp dir and loaded from there.
+
+    The source tree stays unbuilt, so the rest of the suite keeps running
+    the pure-Python kernels.
+    """
+    cc = next(filter(None, map(shutil.which, ("cc", "gcc", "clang"))), None)
+    if cc is None:
+        pytest.skip("no C compiler (cc, gcc or clang) to build the shipped _ext.c")
+    source = Path(wordrep.__file__).parent / "_ext.c"
+    target = tmp_path_factory.mktemp("ext") / ("_ext" + sysconfig.get_config_var("EXT_SUFFIX"))
+    subprocess.run(
+        [cc, "-O2", "-shared", "-fPIC", "-I" + sysconfig.get_paths()["include"],
+         str(source), "-o", str(target)],
+        check=True, capture_output=True,
+    )
+    spec = importlib.util.spec_from_file_location("wordrep._ext", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _random_graph(rng, n):
@@ -43,41 +66,55 @@ def test_pair_index_is_dense_upper_triangle():
     assert _kernels.pair_index(3, 1, n) == _kernels.pair_index(1, 3, n)
 
 
-@needs_ext
-def test_dispatcher_uses_extension():
-    from wordrep._kernels import HAVE_EXT
+def test_dispatcher_uses_extension(ext, monkeypatch):
+    called = []
 
-    assert HAVE_EXT
+    def spy(name):
+        def call(*args):
+            called.append(name)
+            return getattr(ext, name)(*args)
+        return call
+
+    names = ("word_pair_counts", "descendants", "is_dag", "forced_shortcut_pair", "canonical_min_bits")
+    monkeypatch.setattr(_kernels, "_c", SimpleNamespace(**{name: spy(name) for name in names}))
+    monkeypatch.setattr(_kernels, "HAVE_EXT", True)
+    G = _random_graph(random.Random(29), 6)
+    succ = _random_dag_succ(random.Random(29), 6)
+    assert _kernels.word_pair_counts([0, 1, 0], 2) == _kernels_py.word_pair_counts([0, 1, 0], 2)
+    assert _kernels.descendants(6, succ) == _kernels_py.descendants(6, succ)
+    assert _kernels.is_dag(6, succ) is True
+    assert _kernels.forced_shortcut_pair(6, succ, G.adj) == _kernels_py.forced_shortcut_pair(6, succ, G.adj)
+    classes = _refined_classes(G)
+    assert _kernels.canonical_min_bits(6, G.adj, classes) == _kernels_py.canonical_min_bits(6, G.adj, classes)
+    assert _kernels.add_arc(6, [0] * 6, G.adj, [0] * 6, [0] * 6, 0, 1) is not None
+    assert called == list(names) + ["forced_shortcut_pair"]
 
 
-@needs_ext
-def test_word_pair_counts_parity():
+def test_word_pair_counts_parity(ext):
     rng = random.Random(31)
     for _ in range(200):
         n = rng.randrange(2, 9)
         letters = [rng.randrange(n) for _ in range(rng.randrange(0, 25))]
-        assert _ext.word_pair_counts(letters, n) == _kernels_py.word_pair_counts(letters, n)
+        assert ext.word_pair_counts(letters, n) == _kernels_py.word_pair_counts(letters, n)
 
 
-@needs_ext
-def test_dag_kernels_parity():
+def test_dag_kernels_parity(ext):
     rng = random.Random(37)
     for _ in range(200):
         n = rng.randrange(1, 10)
         succ = _random_dag_succ(rng, n)
-        assert _ext.is_dag(n, succ) == _kernels_py.is_dag(n, succ) is True
-        assert _ext.descendants(n, succ) == _kernels_py.descendants(n, succ)
+        assert ext.is_dag(n, succ) == _kernels_py.is_dag(n, succ) is True
+        assert ext.descendants(n, succ) == _kernels_py.descendants(n, succ)
     # cyclic cases
     succ = [0b010, 0b100, 0b001]
-    assert _ext.is_dag(3, succ) is False and _kernels_py.is_dag(3, succ) is False
+    assert ext.is_dag(3, succ) is False and _kernels_py.is_dag(3, succ) is False
     with pytest.raises(ValueError):
-        _ext.descendants(3, succ)
+        ext.descendants(3, succ)
     with pytest.raises(ValueError):
         _kernels_py.descendants(3, succ)
 
 
-@needs_ext
-def test_forced_shortcut_pair_parity():
+def test_forced_shortcut_pair_parity(ext):
     rng = random.Random(41)
     for _ in range(300):
         n = rng.randrange(2, 9)
@@ -92,19 +129,18 @@ def test_forced_shortcut_pair_parity():
                 pass  # leave unoriented
             else:
                 succ[i] |= 1 << j
-        assert _ext.forced_shortcut_pair(n, succ, list(G.adj)) == _kernels_py.forced_shortcut_pair(
+        assert ext.forced_shortcut_pair(n, succ, list(G.adj)) == _kernels_py.forced_shortcut_pair(
             n, succ, list(G.adj)
         )
 
 
-@needs_ext
-def test_canonical_min_bits_parity():
+def test_canonical_min_bits_parity(ext):
     rng = random.Random(43)
     for _ in range(100):
         n = rng.randrange(1, 8)
         G = _random_graph(rng, n)
         classes = _refined_classes(G)
-        assert _ext.canonical_min_bits(n, list(G.adj), classes) == _kernels_py.canonical_min_bits(
+        assert ext.canonical_min_bits(n, list(G.adj), classes) == _kernels_py.canonical_min_bits(
             n, list(G.adj), classes
         )
 
@@ -117,3 +153,62 @@ def test_dispatcher_size_guards():
     assert _kernels.descendants(n, succ) == [0] * n
     adj = [0] * n
     assert _kernels.forced_shortcut_pair(n, succ, adj) is None
+
+
+def _reference_add_arc(n, succ, adj):
+    """What add_arc must return, by recomputing reachability from scratch."""
+    try:
+        desc = _kernels_py.descendants(n, succ)
+    except ValueError:
+        return None
+    if _kernels_py.forced_shortcut_pair(n, succ, adj) is not None:
+        return None
+    anc = [sum(1 << i for i in range(n) if desc[i] >> j & 1) for j in range(n)]
+    return desc, anc
+
+
+def _arc_insertions(rng, trials):
+    """(n, adj, succ after the arc, desc, anc before it, x, y) along random
+    insertion sequences; a rejected arc is taken back, so every state the
+    sequence continues from has no forced violation."""
+    for _ in range(trials):
+        n = rng.randrange(5, 13)
+        G = _random_graph(rng, n)
+        edges = G.edges()
+        rng.shuffle(edges)
+        succ = [0] * n
+        desc, anc = [0] * n, [0] * n
+        for u, v in edges:
+            x, y = (u, v) if rng.random() < 0.5 else (v, u)
+            succ[x] |= 1 << y
+            yield n, G.adj, list(succ), desc, anc, x, y
+            reach = _reference_add_arc(n, succ, G.adj)
+            if reach is None:
+                succ[x] &= ~(1 << y)
+            else:
+                desc, anc = reach
+
+
+def test_add_arc_matches_full_recompute():
+    rejected = accepted = 0
+    for n, adj, succ, desc, anc, x, y in _arc_insertions(random.Random(47), 200):
+        want = _reference_add_arc(n, succ, adj)
+        assert _kernels_py.add_arc(n, succ, adj, desc, anc, x, y) == want
+        if want is None:
+            rejected += 1
+        else:
+            accepted += 1
+    # both outcomes are exercised, not only the easy one
+    assert rejected > 100 and accepted > 1000
+
+
+def test_add_arc_compiled_dispatch_parity(ext, monkeypatch):
+    monkeypatch.setattr(_kernels, "_c", ext)
+    monkeypatch.setattr(_kernels, "HAVE_EXT", True)
+    for n, adj, succ, desc, anc, x, y in _arc_insertions(random.Random(53), 100):
+        got = _kernels.add_arc(n, succ, adj, desc, anc, x, y)
+        want = _kernels_py.add_arc(n, succ, adj, desc, anc, x, y)
+        assert (got is None) == (want is None)
+        if got is not None:
+            # the compiled branch leaves the masks to the caller, unchanged
+            assert got[0] is desc and got[1] is anc

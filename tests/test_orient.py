@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import all_orientations, exhaustive_semi_transitive
+from oracles import all_orientations, exhaustive_semi_transitive, slow_search_semi_transitive
 from wordrep.core import Graph, complete_graph, cycle_graph, path_graph
 from wordrep.orient import (
     BudgetExceeded,
@@ -16,6 +16,7 @@ from wordrep.orient import (
     search_semi_transitive,
     search_transitive,
 )
+from wordrep.search import enumerate_nonisomorphic
 from wordrep.verify import verify_k11
 
 
@@ -193,3 +194,30 @@ class TestSearch:
             G = Graph.from_edges(labels, edges)
             expected = any(exhaustive_semi_transitive(D) for D in all_orientations(G))
             assert (search_semi_transitive(G) is not None) == expected
+
+
+class TestIncrementalSearch:
+    """The incremental search against the full-recompute reference: the same
+    orientation (or none) after the same number of nodes."""
+
+    @staticmethod
+    def _assert_same_search(G):
+        succ, nodes = slow_search_semi_transitive(G)
+        D = search_semi_transitive(G, max_nodes=nodes)
+        assert (None if D is None else D.succ) == succ
+        with pytest.raises(BudgetExceeded):
+            search_semi_transitive(G, max_nodes=nodes - 1)
+
+    def test_every_connected_graph_up_to_6(self):
+        for n in range(1, 7):
+            for G in enumerate_nonisomorphic(n, connected_only=True):
+                self._assert_same_search(G)
+
+    def test_random_graphs_8_to_11(self):
+        rng = random.Random(61)
+        for _ in range(30):
+            n = rng.randrange(8, 12)
+            p = rng.choice((0.3, 0.4, 0.5))
+            labels = tuple(str(i) for i in range(n))
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+            self._assert_same_search(Graph.from_index_edges(labels, pairs))

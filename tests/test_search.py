@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -7,6 +8,7 @@ from wordrep.graph6 import write_graph6
 from wordrep.orient import BudgetExceeded, search_semi_transitive
 from wordrep.search import (
     SearchBudget,
+    _automorphisms,
     canonical_form,
     census_from_graph6,
     census_non_word_representable,
@@ -116,6 +118,23 @@ class TestEnumeration:
         expected = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
         for n, count in expected.items():
             assert sum(1 for _ in enumerate_nonisomorphic(n, connected_only=True)) == count
+
+    def test_connected_family_is_the_connected_part(self):
+        # the connected family is grown from connected parents only; it must
+        # still be exactly the connected members of the full family, in order
+        for n in range(1, 8):
+            connected = [G.adj for G in enumerate_nonisomorphic(n, connected_only=True)]
+            assert connected == [G.adj for G in enumerate_nonisomorphic(n) if G.is_connected()]
+
+    def test_automorphisms_match_brute_force(self):
+        for n in range(1, 7):
+            for G in enumerate_nonisomorphic(n):
+                brute = [
+                    p for p in permutations(range(n))
+                    if all(G.has_edge(p[i], p[j]) == G.has_edge(i, j)
+                           for i in range(n) for j in range(i + 1, n))
+                ]
+                assert sorted(_automorphisms(G)) == brute
 
     def test_range_checks(self):
         with pytest.raises(ValueError):

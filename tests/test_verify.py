@@ -92,6 +92,11 @@ class TestVerifyK11:
         v = verify_k11(Word.from_labels(("x", "y"), ["x", "y"]), E2, 0)
         assert v.witness == ("x", "y", 0, "non-edge")
 
+    def test_negative_k_rejected(self):
+        K2 = complete_graph(("x", "y"))
+        with pytest.raises(ValueError, match="non-negative"):
+            verify_k11(Word.from_labels(("x", "y"), ["x", "y"]), K2, -1)
+
     def test_alphabet_mismatch(self):
         with pytest.raises(ValueError, match="alphabet"):
             verify_k11(Word.compact("12"), complete_graph(("x", "y")), 0)
