@@ -4,10 +4,7 @@ The Cython extension works on 64-bit masks, so bitmask kernels fall back to
 the pure implementation for graphs with more than 64 vertices (only the
 word-counting kernel ever sees such inputs in practice).
 
-``add_arc`` has no compiled twin yet.  With the extension loaded, the
-dispatcher answers it with one compiled ``forced_shortcut_pair`` call on the
-whole orientation and hands ``desc``/``anc`` back unchanged, unmaintained;
-the pure backend keeps them incremental.
+``add_arc`` has no compiled twin yet; both backends run the pure version.
 """
 
 from __future__ import annotations
@@ -23,6 +20,7 @@ except ImportError:  # pragma: no cover - depends on build environment
     HAVE_EXT = False
 
 pair_index = _py.pair_index
+add_arc = _py.add_arc
 
 
 def word_pair_counts(letters, n):
@@ -47,16 +45,6 @@ def forced_shortcut_pair(n, succ, adj):
     if HAVE_EXT and n <= 64:
         return _c.forced_shortcut_pair(n, list(succ), list(adj))
     return _py.forced_shortcut_pair(n, succ, adj)
-
-
-def add_arc(n, succ, adj, desc, anc, x, y):
-    if HAVE_EXT and n <= 64:
-        try:
-            hit = _c.forced_shortcut_pair(n, list(succ), list(adj))
-        except ValueError:  # cycle
-            return None
-        return None if hit is not None else (desc, anc)
-    return _py.add_arc(n, succ, adj, desc, anc, x, y)
 
 
 def canonical_min_bits(n, adj, classes):

@@ -285,12 +285,15 @@ def _canonical_bits_upto(n: int, connected: bool) -> list[int]:
     the connected family grows from connected parents alone, by a vertex with
     a non-empty neighbourhood.  Extensions by masks that an automorphism of
     the parent maps onto each other are isomorphic; only the smallest mask of
-    each orbit is canonicalized.
+    each orbit is canonicalized.  When the full family on n is already built,
+    the connected one is read off it instead.
     """
     key = (n, connected)
     if key in _enum_cache:
         return _enum_cache[key]
-    if n == 1:
+    if connected and (n, False) in _enum_cache:
+        forms = [b for b in _enum_cache[n, False] if graph_from_canonical_bits(n, b).is_connected()]
+    elif n == 1:
         forms = [0]
     else:
         forms_set = set()

@@ -176,8 +176,14 @@ class TestConstruct:
     @pytest.mark.parametrize("argv", [
         ["mycielski-word"], ["three-perm"], ["double"], ["split"], ["comp-ind"],
         ["remove-edges", "graph12"], ["remove-matching"],
-        # surplus inputs are rejected too, not silently dropped; each of
-        # these succeeds without its last input
+    ], ids=lambda argv: argv[0])
+    def test_too_few_inputs_exit_2(self, capsys, argv):
+        assert main(["construct", *argv]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        # surplus inputs are rejected, not silently dropped; each of these
+        # succeeds without its last input
         pytest.param(["mycielski-word", "5", "6"], id="mycielski-word-surplus"),
         pytest.param(
             ["remove-edges", "chvatal-augmented", "catalog:chvatal-augmented", "6"],
@@ -187,8 +193,8 @@ class TestConstruct:
             ["remove-matching", "chvatal", "catalog:chvatal-augmented", "6", "--edge", "1,3", "--edge", "2,4"],
             id="remove-matching-surplus",
         ),
-    ], ids=lambda argv: argv[0])
-    def test_too_few_inputs_exit_2(self, capsys, argv):
+    ])
+    def test_surplus_inputs_exit_2(self, capsys, argv):
         assert main(["construct", *argv]) == 2
         assert capsys.readouterr().err.startswith("error:")
 

@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 
+from wordrep import search
 from wordrep.core import Graph, complete_graph, cycle_graph, empty_graph, path_graph
 from wordrep.graph6 import write_graph6
 from wordrep.orient import BudgetExceeded, search_semi_transitive
@@ -119,12 +120,20 @@ class TestEnumeration:
         for n, count in expected.items():
             assert sum(1 for _ in enumerate_nonisomorphic(n, connected_only=True)) == count
 
-    def test_connected_family_is_the_connected_part(self):
+    def test_connected_family_is_the_connected_part(self, monkeypatch):
         # the connected family is grown from connected parents only; it must
-        # still be exactly the connected members of the full family, in order
+        # still be exactly the connected members of the full family, in order.
+        # An empty cache makes sure the grown families are the ones compared,
+        # not ones read off an already built full family.
+        monkeypatch.setattr(search, "_enum_cache", {})
+        grown = [[G.adj for G in enumerate_nonisomorphic(n, connected_only=True)] for n in range(1, 8)]
+        assert all(connected for _n, connected in search._enum_cache)
         for n in range(1, 8):
-            connected = [G.adj for G in enumerate_nonisomorphic(n, connected_only=True)]
-            assert connected == [G.adj for G in enumerate_nonisomorphic(n) if G.is_connected()]
+            assert grown[n - 1] == [G.adj for G in enumerate_nonisomorphic(n) if G.is_connected()]
+        # with the full family built, the connected one is read off it
+        monkeypatch.setattr(search, "_enum_cache", {(n, False): search._enum_cache[n, False] for n in range(1, 8)})
+        for n in range(1, 8):
+            assert [G.adj for G in enumerate_nonisomorphic(n, connected_only=True)] == grown[n - 1]
 
     def test_automorphisms_match_brute_force(self):
         for n in range(1, 7):
