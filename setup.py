@@ -1,13 +1,4 @@
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [Extension("wordrep._ext", ["src/wordrep/_ext.pyx"])],
-        language_level=3,
-    )
-except ImportError:  # pure-Python fallback kernels still work
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+# optional: without a C compiler the package installs on the pure-Python kernels
+setup(ext_modules=[Extension("wordrep._ext", ["src/wordrep/_ext.c"], optional=True)])

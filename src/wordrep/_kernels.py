@@ -1,8 +1,9 @@
 """Kernel dispatch: compiled extension when available, pure Python otherwise.
 
-The Cython extension works on 64-bit masks, so bitmask kernels fall back to
-the pure implementation for graphs with more than 64 vertices (only the
-word-counting kernel ever sees such inputs in practice).
+The extension (``_ext.c``, written against the CPython C API) works on
+64-bit masks, so bitmask kernels fall back to the pure implementation for
+graphs with more than 64 vertices (only the word-counting kernel ever sees
+such inputs in practice).
 
 ``add_arc`` has no compiled twin yet; both backends run the pure version.
 """

@@ -1,7 +1,7 @@
 """Pure-Python implementations of the hot kernels.
 
-These are the reference implementations; ``wordrep._ext`` (Cython) mirrors
-them exactly for speed and is preferred at import time when available.
+These are the reference implementations; ``wordrep._ext`` (C) mirrors them
+exactly for speed and is preferred at import time when available.
 Pair indices use the upper-triangle convention ``pair_index(i, j, n)`` with
 ``i < j``.
 """
@@ -199,9 +199,6 @@ def canonical_min_bits(n, adj, classes):
         nonlocal best
         if ci == len(class_perms):
             bits = 0
-            pos = [0] * n
-            for slot, v in enumerate(ordering):
-                pos[v] = slot
             p = 0
             for a in range(n):
                 va = ordering[a]

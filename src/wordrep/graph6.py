@@ -27,11 +27,18 @@ def _decode_n(s: str) -> tuple[int, int]:
     if not s:
         raise ValueError("empty graph6 string")
     if s[0] != "~":
-        return ord(s[0]) - 63, 1
+        # one byte '?'..'}' holds n <= 62; '~' starts the long form
+        n = ord(s[0]) - 63
+        if not 0 <= n <= 62:
+            raise ValueError(f"invalid graph6 size byte {s[0]!r}")
+        return n, 1
     if len(s) >= 4 and s[1] != "~":
         n = 0
         for c in s[1:4]:
-            n = n << 6 | (ord(c) - 63)
+            v = ord(c) - 63
+            if not 0 <= v < 64:
+                raise ValueError(f"invalid graph6 size byte {c!r}")
+            n = n << 6 | v
         return n, 4
     raise ValueError("graph6 reader supports n <= 258047")
 

@@ -245,6 +245,14 @@ class TestCensus:
         assert main(["census", "--graph6", str(tmp_path / "missing.g6")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("line", ["=?", "\x7f"], ids=["equals-sign", "del"])
+    def test_invalid_graph6_size_byte_exit_2(self, capsys, tmp_path, line):
+        stream = tmp_path / "bad.g6"
+        stream.write_text(line + "\n")
+        assert main(["census", "--graph6", str(stream)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "examined" not in captured.out
+
     def test_jobs_zero_exit_2(self, capsys):
         assert main(["census", "5", "--jobs", "0"]) == 2
         assert capsys.readouterr().err.startswith("error:")

@@ -73,6 +73,17 @@ class TestErrors:
         with pytest.raises(ValueError, match="invalid graph6 character"):
             parse_graph6("C" + chr(200))
 
+    @pytest.mark.parametrize(
+        "line",
+        ["=?", "\x7f", "\x7f" + "?" * 336, "~\x3e??"],
+        ids=["equals-sign", "del", "del-with-64-vertex-body", "long-form-byte-below-?"],
+    )
+    def test_invalid_size_byte(self, line):
+        # '=' would read as n = -2 (an empty graph), DEL as a short-form n = 64,
+        # and a long-form byte below '?' as a negative 6-bit group
+        with pytest.raises(ValueError, match="invalid graph6 size byte"):
+            parse_graph6(line)
+
     def test_nonzero_padding(self):
         # n=3 uses 3 bits; set a padding bit
         with pytest.raises(ValueError, match="padding"):

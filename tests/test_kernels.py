@@ -6,19 +6,20 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+from math import factorial, prod
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 import wordrep
-from wordrep import _kernels, _kernels_py
+from wordrep import _kernels, _kernels_py, search
 from wordrep.core import Graph, _refined_classes
 
 
 @pytest.fixture(scope="session")
 def ext(tmp_path_factory):
-    """The shipped ``_ext.c``, compiled into a temp dir and loaded from there.
+    """``_ext.c``, compiled into a temp dir and loaded from there.
 
     The source tree stays unbuilt, so the rest of the suite keeps running
     the pure-Python kernels.
@@ -33,17 +34,19 @@ def ext(tmp_path_factory):
     if not Path(include, "Python.h").is_file():
         pytest.skip(f"no Python development headers ({include}/Python.h) to build _ext.c against")
     target = tmp_path_factory.mktemp("ext") / ("_ext" + sysconfig.get_config_var("EXT_SUFFIX"))
-    subprocess.run(
-        [cc, "-O2", "-shared", "-fPIC", "-I" + include,
+    # warnings are errors here, so the hand-written C stays free of them
+    build = subprocess.run(
+        [cc, "-O2", "-shared", "-fPIC", "-Wall", "-Wextra", "-Werror", "-I" + include,
          str(source), "-o", str(target)],
-        check=True, capture_output=True,
+        capture_output=True, text=True,
     )
+    assert build.returncode == 0, build.stderr
+    built = sys.modules.get("wordrep._ext")
     spec = importlib.util.spec_from_file_location("wordrep._ext", target)
     module = importlib.util.module_from_spec(spec)
-    built = sys.modules.get("wordrep._ext")
     spec.loader.exec_module(module)
-    # loading registers the module as wordrep._ext; put back what the tree
-    # itself imports, so an import of wordrep._ext still finds only that
+    # loading may register the module as wordrep._ext; put back what the
+    # tree itself imports, so an import of wordrep._ext still finds only that
     if built is None:
         sys.modules.pop("wordrep._ext", None)
     else:
@@ -79,18 +82,27 @@ def test_pair_index_is_dense_upper_triangle():
     assert _kernels.pair_index(3, 1, n) == _kernels.pair_index(1, 3, n)
 
 
-def test_dispatcher_uses_extension(ext, monkeypatch):
+KERNEL_NAMES = ("word_pair_counts", "descendants", "is_dag", "forced_shortcut_pair", "canonical_min_bits")
+
+
+def _spy_backend(monkeypatch, backend):
+    """Point the dispatcher at spies that call ``backend``; returns the list
+    of kernel names they are called with, in call order."""
     called = []
 
     def spy(name):
         def call(*args):
             called.append(name)
-            return getattr(ext, name)(*args)
+            return getattr(backend, name)(*args)
         return call
 
-    names = ("word_pair_counts", "descendants", "is_dag", "forced_shortcut_pair", "canonical_min_bits")
-    monkeypatch.setattr(_kernels, "_c", SimpleNamespace(**{name: spy(name) for name in names}))
+    monkeypatch.setattr(_kernels, "_c", SimpleNamespace(**{name: spy(name) for name in KERNEL_NAMES}))
     monkeypatch.setattr(_kernels, "HAVE_EXT", True)
+    return called
+
+
+def test_dispatcher_uses_extension(ext, monkeypatch):
+    called = _spy_backend(monkeypatch, ext)
     G = _random_graph(random.Random(29), 6)
     succ = _random_dag_succ(random.Random(29), 6)
     assert _kernels.word_pair_counts([0, 1, 0], 2) == _kernels_py.word_pair_counts([0, 1, 0], 2)
@@ -99,7 +111,7 @@ def test_dispatcher_uses_extension(ext, monkeypatch):
     assert _kernels.forced_shortcut_pair(6, succ, G.adj) == _kernels_py.forced_shortcut_pair(6, succ, G.adj)
     classes = _refined_classes(G)
     assert _kernels.canonical_min_bits(6, G.adj, classes) == _kernels_py.canonical_min_bits(6, G.adj, classes)
-    assert called == list(names)
+    assert called == list(KERNEL_NAMES)
 
 
 def test_built_extension_is_loaded():
@@ -114,6 +126,10 @@ def test_word_pair_counts_parity(ext):
     for _ in range(200):
         n = rng.randrange(2, 9)
         letters = [rng.randrange(n) for _ in range(rng.randrange(0, 25))]
+        assert ext.word_pair_counts(letters, n) == _kernels_py.word_pair_counts(letters, n)
+    # alphabets and lengths of the long words verify_k11 checks
+    for n, length in [(20, 320)] + [(rng.randrange(9, 21), rng.randrange(25, 321)) for _ in range(40)]:
+        letters = [rng.randrange(n) for _ in range(length)]
         assert ext.word_pair_counts(letters, n) == _kernels_py.word_pair_counts(letters, n)
 
 
@@ -164,14 +180,49 @@ def test_canonical_min_bits_parity(ext):
         )
 
 
-def test_dispatcher_size_guards():
-    # beyond 64 vertices the dispatcher must fall back to pure Python
+def test_canonical_min_bits_parity_up_to_55_bits(ext):
+    # n = 11 packs 55 bits, the most the compiled kernel accepts
+    rng = random.Random(53)
+    checked = {n: 0 for n in range(8, 12)}
+    for _ in range(120):
+        n = rng.randrange(8, 12)
+        G = _random_graph(rng, n)
+        classes = _refined_classes(G)
+        if prod(factorial(len(c)) for c in classes) > 5040:
+            continue
+        assert ext.canonical_min_bits(n, list(G.adj), classes) == _kernels_py.canonical_min_bits(
+            n, list(G.adj), classes
+        )
+        checked[n] += 1
+    assert min(checked.values()) >= 10
+
+
+def test_enumeration_through_extension(ext, monkeypatch):
+    monkeypatch.setattr(_kernels, "HAVE_EXT", False)
+    monkeypatch.setattr(search, "_enum_cache", {})
+    pure = [G.adj for G in search.enumerate_nonisomorphic(7)]
+    monkeypatch.setattr(search, "_enum_cache", {})
+    called = _spy_backend(monkeypatch, ext)
+    assert [G.adj for G in search.enumerate_nonisomorphic(7)] == pure
+    assert "canonical_min_bits" in called
+
+
+def test_dispatcher_size_guards(monkeypatch):
+    # beyond 64 vertices (11 for canonical forms) the dispatcher must fall
+    # back to pure Python even when the extension is loaded
+    called = _spy_backend(monkeypatch, _kernels_py)
     n = 70
     succ = [0] * n
     assert _kernels.is_dag(n, succ)
     assert _kernels.descendants(n, succ) == [0] * n
     adj = [0] * n
     assert _kernels.forced_shortcut_pair(n, succ, adj) is None
+    path = Graph.from_index_edges(tuple(str(i) for i in range(12)), [(i, i + 1) for i in range(11)])
+    classes = _refined_classes(path)
+    assert _kernels.canonical_min_bits(12, path.adj, classes) == _kernels_py.canonical_min_bits(
+        12, path.adj, classes
+    )
+    assert called == []
 
 
 def _reference_add_arc(n, succ, adj):
