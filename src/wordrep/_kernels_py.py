@@ -1,14 +1,14 @@
 """Pure-Python implementations of the hot kernels.
 
-These are the reference implementations; ``wordrep._ext`` (C) mirrors them
-exactly for speed and is preferred at import time when available.
+These are the reference implementations; ``wordrep._ext`` (C) returns the
+same results faster and is preferred at import time when available.
 Pair indices use the upper-triangle convention ``pair_index(i, j, n)`` with
 ``i < j``.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from functools import lru_cache
 
 
 def pair_index(i: int, j: int, n: int) -> int:
@@ -183,6 +183,13 @@ def add_arc(n, succ, adj, desc, anc, x, y):
     return desc, anc
 
 
+@lru_cache(maxsize=16)
+def _column_bits(n):
+    """``col[p][a]``: the bit of pair (a, p), a < p, in an n-vertex bitstring."""
+    nbits = n * (n - 1) // 2
+    return tuple(tuple(1 << (nbits - 1 - pair_index(a, p, n)) for a in range(p)) for p in range(n))
+
+
 def canonical_min_bits(n, adj, classes):
     """Minimum upper-triangle adjacency bitstring over class-respecting orders.
 
@@ -190,28 +197,65 @@ def canonical_min_bits(n, adj, classes):
     the vertices of classes[0] first (in any order), then classes[1], etc.
     The bitstring packs bit (i, j), i < j, at position pair_index(i, j, n),
     read as an integer with position 0 most significant.
+
+    Orderings are built depth-first, one position at a time, from a bitmask
+    of the still free vertices of each class; memory is O(n^2).  Two prunings
+    leave the minimum unchanged:
+
+    - bound: placing position p adds the pairs (a, p), a < p, to a partial
+      bitstring.  Bits are only ever added, so a prefix whose partial is not
+      below the best bitstring found so far is dropped (as in ``_ext.c``).
+    - twins: u and v are twins when their neighbourhoods agree apart from
+      each other.  Swapping two free twins is an automorphism that fixes the
+      placed prefix, so it maps the completions with v at position p onto
+      those with u there, bit for bit.  A free vertex with a free lower twin
+      in its class is therefore skipped; the lowest vertex that reaches the
+      minimum never is.
     """
-    nbits = n * (n - 1) // 2
-    best = None
-    class_perms = [list(permutations(c)) for c in classes]
+    col = _column_bits(n)
+    free = []
+    class_at = []
+    for ci, cls in enumerate(classes):
+        m = 0
+        for v in cls:
+            m |= 1 << v
+        free.append(m)
+        class_at += [ci] * len(cls)
+    lower_twins = [0] * n
+    for v in range(n):
+        for u in range(v):
+            if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+                lower_twins[v] |= 1 << u
+    position = [0] * n
+    best = 1 << (n * (n - 1) // 2)
 
-    def rec(ci, ordering):
+    def place(p, placed, bits):
         nonlocal best
-        if ci == len(class_perms):
-            bits = 0
-            p = 0
-            for a in range(n):
-                va = ordering[a]
-                row = adj[va]
-                for b in range(a + 1, n):
-                    if row >> ordering[b] & 1:
-                        bits |= 1 << (nbits - 1 - p)
-                    p += 1
-            if best is None or bits < best:
-                best = bits
+        if p == n:
+            best = bits
             return
-        for perm in class_perms[ci]:
-            rec(ci + 1, ordering + list(perm))
+        ci = class_at[p]
+        cand = free[ci]
+        colp = col[p]
+        m = cand
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            if lower_twins[v] & cand:
+                continue
+            nxt = bits
+            nb = adj[v] & placed
+            while nb:
+                lowb = nb & -nb
+                nb ^= lowb
+                nxt |= colp[position[lowb.bit_length() - 1]]
+            if nxt >= best:
+                continue
+            position[v] = p
+            free[ci] = cand ^ low
+            place(p + 1, placed | low, nxt)
+        free[ci] = cand
 
-    rec(0, [])
+    place(0, 0, 0)
     return best

@@ -48,9 +48,12 @@ class Graph:
                 raise ValueError("edge endpoint out of range")
             if m >> i & 1:
                 raise ValueError(f"self-loop at {self.labels[i]}")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (self.adj[i] >> j & 1) != (self.adj[j] >> i & 1):
+        adj = self.adj
+        for i, m in enumerate(adj):
+            while m:
+                low = m & -m
+                m ^= low
+                if not adj[low.bit_length() - 1] >> i & 1:
                     raise ValueError("asymmetric adjacency")
 
     # -- construction -------------------------------------------------
@@ -380,21 +383,32 @@ def iter_mask(mask: int) -> Iterator[int]:
 
 
 def _refined_classes(G: Graph) -> list[list[int]]:
-    """Ordered vertex partition by iterated neighbour-degree colors."""
-    colors: list[tuple] = [(G.degree(i),) for i in range(G.n)]
+    """Ordered vertex partition by iterated neighbour-degree colors.
+
+    A vertex's next color is (its color, the sorted colors of its
+    neighbours), compared as tuples; refinement stops when a round splits no
+    class, and classes are listed in increasing color.  After each round the
+    colors are renamed to their rank among the distinct colors, which keeps
+    their order, so the partition and its order are those of the nested
+    tuples.
+    """
+    nbrs = [list(iter_mask(m)) for m in G.adj]
+    degrees = [len(nb) for nb in nbrs]
+    kinds = set(degrees)
+    rank = {c: r for r, c in enumerate(sorted(kinds))}
+    colors = [rank[c] for c in degrees]
+    count = len(kinds)
     while True:
-        new = [
-            (colors[i], tuple(sorted(colors[j] for j in iter_mask(G.adj[i]))))
-            for i in range(G.n)
-        ]
-        if len(set(new)) == len(set(colors)):
+        new = [(colors[i], tuple(sorted([colors[j] for j in nb]))) for i, nb in enumerate(nbrs)]
+        kinds = set(new)
+        if len(kinds) == count:
             break
-        colors = new
-    distinct = sorted(set(colors))
-    classes: list[list[int]] = [[] for _ in distinct]
-    rank = {c: r for r, c in enumerate(distinct)}
+        rank = {c: r for r, c in enumerate(sorted(kinds))}
+        colors = [rank[c] for c in new]
+        count = len(kinds)
+    classes: list[list[int]] = [[] for _ in range(count)]
     for i, c in enumerate(colors):
-        classes[rank[c]].append(i)
+        classes[c].append(i)
     return classes
 
 

@@ -358,8 +358,8 @@ def census_non_word_representable(n: int, jobs: int = 1) -> CensusResult:
     Results are sorted by canonical form, so output is identical across
     worker counts.
     """
-    if n > 7:
-        raise ValueError("census supports n <= 7")
+    if not 1 <= n <= 7:
+        raise ValueError("census supports 1 <= n <= 7")
     # the generator yields graph_from_canonical_bits graphs in canonical order
     return _census(n, enumerate_nonisomorphic(n, connected_only=True), jobs)
 

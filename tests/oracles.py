@@ -7,7 +7,7 @@ shortcuts (bit tricks, pruning, reachability reformulations).
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
 from typing import Optional
 
 from wordrep import _kernels_py
@@ -152,3 +152,71 @@ def slow_search_semi_transitive(G: Graph) -> tuple[Optional[tuple[int, ...]], in
         return False
 
     return (tuple(succ) if rec(0) else None), nodes
+
+
+def slow_refined_classes(G: Graph) -> list[list[int]]:
+    """Iterated neighbour-degree partition with the nested colour tuples
+    themselves as colours (no renaming between rounds)."""
+    colors: list[tuple] = [(G.degree(i),) for i in range(G.n)]
+    while True:
+        new = [
+            (colors[i], tuple(sorted(colors[j] for j in iter_mask(G.adj[i]))))
+            for i in range(G.n)
+        ]
+        if len(set(new)) == len(set(colors)):
+            break
+        colors = new
+    distinct = sorted(set(colors))
+    classes: list[list[int]] = [[] for _ in distinct]
+    rank = {c: r for r, c in enumerate(distinct)}
+    for i, c in enumerate(colors):
+        classes[rank[c]].append(i)
+    return classes
+
+
+def slow_canonical_min_bits(n: int, adj, classes) -> int:
+    """Minimum upper-triangle bitstring over every class-respecting ordering,
+    each one built in full from the permutations of every class (no pruning)."""
+    nbits = n * (n - 1) // 2
+    best = None
+    class_perms = [list(permutations(c)) for c in classes]
+
+    def rec(ci, ordering):
+        nonlocal best
+        if ci == len(class_perms):
+            bits = 0
+            p = 0
+            for a in range(n):
+                row = adj[ordering[a]]
+                for b in range(a + 1, n):
+                    if row >> ordering[b] & 1:
+                        bits |= 1 << (nbits - 1 - p)
+                    p += 1
+            if best is None or bits < best:
+                best = bits
+            return
+        for perm in class_perms[ci]:
+            rec(ci + 1, ordering + list(perm))
+
+    rec(0, [])
+    return best
+
+
+def slow_graph_check(labels, adj) -> Optional[str]:
+    """The ValueError message ``Graph(labels, adj)`` must raise for distinct,
+    valid labels, or None.
+
+    Checks in the constructor's order, symmetry over every pair i < j."""
+    n = len(labels)
+    if len(adj) != n:
+        return "adjacency size mismatch"
+    for i, m in enumerate(adj):
+        if m & ~((1 << n) - 1):
+            return "edge endpoint out of range"
+        if m >> i & 1:
+            return f"self-loop at {labels[i]}"
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (adj[i] >> j & 1) != (adj[j] >> i & 1):
+                return "asymmetric adjacency"
+    return None

@@ -236,6 +236,12 @@ class TestCensus:
         assert "examined 21 graphs, 0 non-word-representable" in capsys.readouterr().out
 
 
+    def test_graph6_petersen(self, capsys, tmp_path):
+        stream = tmp_path / "petersen.g6"
+        stream.write_text("IheA@GUAo\n")
+        assert main(["census", "--graph6", str(stream)]) == 0
+        assert "n=10: examined 1 graphs, 0 non-word-representable" in capsys.readouterr().out
+
     def test_unwritable_emit_exit_2(self, capsys, tmp_path):
         target = tmp_path / "no" / "such" / "dir" / "x.g6"
         assert main(["census", "5", "--emit-graph6", str(target)]) == 2
@@ -252,6 +258,13 @@ class TestCensus:
         assert main(["census", "--graph6", str(stream)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "examined" not in captured.out
+
+    @pytest.mark.parametrize("n", ["-1", "0", "8"])
+    def test_n_out_of_range_exit_2(self, capsys, n):
+        assert main(["census", n]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "1 <= n <= 7" in captured.err
+        assert "examined" not in captured.out
 
     def test_jobs_zero_exit_2(self, capsys):
         assert main(["census", "5", "--jobs", "0"]) == 2

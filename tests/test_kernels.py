@@ -13,8 +13,9 @@ from types import SimpleNamespace
 import pytest
 
 import wordrep
+from oracles import slow_canonical_min_bits, slow_refined_classes
 from wordrep import _kernels, _kernels_py, search
-from wordrep.core import Graph, _refined_classes
+from wordrep.core import Graph, _refined_classes, complete_graph, cycle_graph, empty_graph
 
 
 @pytest.fixture(scope="session")
@@ -195,6 +196,86 @@ def test_canonical_min_bits_parity_up_to_55_bits(ext):
         )
         checked[n] += 1
     assert min(checked.values()) >= 10
+    # single refined classes of 10 or 11 vertices, far beyond the cap above
+    for G in (_petersen(), _complete_bipartite(5, 5), cycle_graph(_labels(10)), complete_graph(_labels(11))):
+        classes = _refined_classes(G)
+        assert len(classes) == 1
+        assert ext.canonical_min_bits(G.n, list(G.adj), classes) == _kernels_py.canonical_min_bits(
+            G.n, list(G.adj), classes
+        )
+
+
+def _labels(n):
+    return tuple(str(i) for i in range(n))
+
+
+def _petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.from_index_edges(_labels(10), outer + inner + [(i, i + 5) for i in range(5)])
+
+
+def _complete_bipartite(a, b):
+    return Graph.from_index_edges(_labels(a + b), [(i, j) for i in range(a) for j in range(a, a + b)])
+
+
+def _relabelled(rng, G):
+    perm = list(range(G.n))
+    rng.shuffle(perm)
+    return Graph.from_index_edges(G.labels, [(perm[i], perm[j]) for i, j in G.edges()])
+
+
+def _assert_canonical_kernels_match_oracles(G):
+    classes = _refined_classes(G)
+    assert classes == slow_refined_classes(G)
+    assert _kernels_py.canonical_min_bits(G.n, G.adj, classes) == slow_canonical_min_bits(
+        G.n, G.adj, classes
+    )
+
+
+def test_canonical_kernels_match_oracles_up_to_7():
+    rng = random.Random(61)
+    for n in range(1, 8):
+        for G in search.enumerate_nonisomorphic(n):
+            _assert_canonical_kernels_match_oracles(G)
+            _assert_canonical_kernels_match_oracles(_relabelled(rng, G))
+
+
+def test_canonical_kernels_match_oracles_8_to_10():
+    # densities from sparse to dense, so that many refined partitions keep
+    # classes of several vertices; at most 8! orderings for the oracle
+    rng = random.Random(71)
+    checked = {n: 0 for n in range(8, 11)}
+    symmetric = {n: 0 for n in range(8, 11)}
+    for _ in range(150):
+        n = rng.randrange(8, 11)
+        p = rng.choice((0.1, 0.25, 0.5, 0.75, 0.9))
+        G = Graph.from_index_edges(
+            _labels(n), [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        )
+        orderings = prod(factorial(len(c)) for c in _refined_classes(G))
+        if orderings > 40320:
+            continue
+        _assert_canonical_kernels_match_oracles(G)
+        checked[n] += 1
+        symmetric[n] += orderings > 1
+    assert min(checked.values()) >= 30 and min(symmetric.values()) >= 20
+
+
+def test_canonical_kernels_match_oracles_on_twins():
+    rng = random.Random(79)
+    graphs = [complete_graph(_labels(n)) for n in range(1, 8)]
+    graphs += [empty_graph(_labels(n)) for n in range(1, 8)]
+    graphs += [_complete_bipartite(a, b) for a in range(1, 5) for b in range(a, 9 - a)]
+    # x-y an edge; f0..f2 false twins on x (pairwise non-adjacent), t0..t2
+    # true twins on y (pairwise adjacent)
+    x, y, f, t = 0, 1, (2, 3, 4), (5, 6, 7)
+    pairs = [(x, y)] + [(x, v) for v in f] + [(y, v) for v in t]
+    pairs += [(u, v) for u in t for v in t if u < v]
+    graphs.append(Graph.from_index_edges(_labels(8), pairs))
+    for G in graphs:
+        _assert_canonical_kernels_match_oracles(G)
+        _assert_canonical_kernels_match_oracles(_relabelled(rng, G))
 
 
 def test_enumeration_through_extension(ext, monkeypatch):

@@ -1,11 +1,12 @@
 import random
+import time
 from itertools import permutations
 
 import pytest
 
 from wordrep import search
 from wordrep.core import Graph, complete_graph, cycle_graph, empty_graph, path_graph
-from wordrep.graph6 import write_graph6
+from wordrep.graph6 import parse_graph6, write_graph6
 from wordrep.orient import BudgetExceeded, search_semi_transitive
 from wordrep.search import (
     SearchBudget,
@@ -21,6 +22,9 @@ from wordrep.search import (
     is_word_representable,
 )
 from wordrep.verify import graph_of_word, uniformity, verify_k11
+
+
+PETERSEN_G6 = "IheA@GUAo"
 
 
 def _w5() -> Graph:
@@ -172,6 +176,19 @@ class TestEnumeration:
         assert canonical_form(cycle_graph(tuple("1234"))) != canonical_form(path_graph(tuple("1234")))
         assert canonical_form(complete_graph(tuple("1234"))) != canonical_form(cycle_graph(tuple("1234")))
 
+    def test_canonical_form_petersen(self):
+        # one refined class of 10 vertices (10! orderings); the form is the
+        # one the exhaustive kernel computed
+        G = parse_graph6(PETERSEN_G6)
+        rng = random.Random(10)
+        for _ in range(3):
+            perm = list(range(10))
+            rng.shuffle(perm)
+            H = Graph.from_index_edges(G.labels, [(perm[i], perm[j]) for i, j in G.edges()])
+            start = time.perf_counter()
+            assert canonical_form(H) == (10, 487837009056)
+            assert time.perf_counter() - start < 2
+
     def test_bits_roundtrip(self):
         G = cycle_graph(tuple("12345"))
         n, bits = canonical_form(G)
@@ -193,8 +210,9 @@ class TestCensus:
         assert canonical_form(r.non_word_representable[0]) == canonical_form(_w5())
 
     def test_range_check(self):
-        with pytest.raises(ValueError):
-            census_non_word_representable(8)
+        for n in (-1, 0, 8):
+            with pytest.raises(ValueError, match=r"census supports 1 <= n <= 7"):
+                census_non_word_representable(n)
         with pytest.raises(ValueError, match="jobs"):
             census_non_word_representable(5, jobs=0)
         with pytest.raises(ValueError, match="jobs"):
