@@ -126,9 +126,10 @@ def induces_copy(G: Graph, subset, H: Graph) -> bool:
     """Does the subset induce a subgraph isomorphic to H?
 
     Rejects on edge count or degree sequence, then compares canonical
-    forms, whose cost grows with the product of the factorials of the
-    refined vertex classes; meant for paper-scale subgraphs (|subset| <= 7,
-    or larger ones whose vertices the refinement mostly tells apart).
+    forms.  Their worst case still grows with the product of the factorials
+    of the refined vertex classes, but the search is pruned by a bound and
+    by twins: 10-vertex regular subgraphs such as the Petersen graph take a
+    fraction of a second, the 12-vertex Chvatal graph several seconds.
     """
     sub = G.induced_subgraph(subset)
     if sub.n != H.n:

@@ -235,7 +235,6 @@ class TestCensus:
         assert main(["census", "--graph6", str(stream)]) == 0
         assert "examined 21 graphs, 0 non-word-representable" in capsys.readouterr().out
 
-
     def test_graph6_petersen(self, capsys, tmp_path):
         stream = tmp_path / "petersen.g6"
         stream.write_text("IheA@GUAo\n")

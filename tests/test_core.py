@@ -60,10 +60,8 @@ class TestGraph:
         for n in range(5):
             labels = tuple("abcd"[:n])
             values = range(1 << (n + 1 if n < 4 else n))
-            shapes = [product(values, repeat=n)]
-            if n < 4:
-                shapes += [product(values, repeat=n - 1) if n else [], product(values, repeat=n + 1)]
-            for adj in chain.from_iterable(shapes):
+            lengths = [n] if n == 4 else [length for length in (n - 1, n, n + 1) if length >= 0]
+            for adj in chain.from_iterable(product(values, repeat=length) for length in lengths):
                 try:
                     Graph(labels, adj)
                     got = None
