@@ -58,9 +58,12 @@ def _default_max_nodes() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        limit = int(raw)
+        if limit > 0:
+            return limit
     except ValueError:
-        raise CliError(f"bad WORDREP_MAX_NODES value {raw!r}")
+        pass
+    raise CliError(f"bad WORDREP_MAX_NODES value {raw!r}")
 
 
 def _load_graph(spec: str) -> Graph:

@@ -34,88 +34,70 @@ def is_word_representable(G: Graph) -> bool:
     return search_semi_transitive(G) is not None
 
 
-# -- uniform representant search ---------------------------------------
+# -- word representant search -----------------------------------------
 
 
-def _search_uniform_word(G: Graph, t: int, counter: _Budget) -> Optional[Word]:
-    """Backtracking search for a t-uniform 0-11-representant of G.
+def _search_word(
+    G: Graph, k: int, length: int, quota: Optional[int], counter: _Budget
+) -> Optional[Word]:
+    """Backtracking search for a k-11-representant of G with ``length``
+    letters, at most ``quota`` copies of each (None: no limit).
 
-    Alternation pruning: a letter may never create an adjacent equal pair
-    with a neighbour (a t-uniform pair subword without adjacent equals is
-    automatically alternating), and a non-edge pair whose letters are both
-    exhausted must already have its required 11.
+    Placing a adds an 11 to each pair {a, b} whose subword ends in a, i.e.
+    lastpos[a] > lastpos[b].  Edge pairs may never exceed k 11s; with k = 0
+    and quota t this is alternation pruning (a t-uniform pair subword
+    without adjacent equals is automatically alternating).  A last copy is
+    refused while an exhausted non-neighbour would keep <= k 11s with it.
     """
     n = G.n
-    total = n * t
-    remaining = [t] * n
-    last = {}
-    doubled = [[False] * n for _ in range(n)]
+    adj = G.adj
+    others = [[b for b in range(n) if b != a] for a in range(n)]
+    non_nbrs = [[b for b in others[a] if not adj[a] >> b & 1] for a in range(n)]
+    copies = [0] * n
+    lastpos = [-1] * n
+    elevens = [[0] * n for _ in range(n)]
     word: list[int] = []
 
-    def ok_to_place(a: int) -> bool:
-        if remaining[a] == 0:
-            return False
-        for b in iter_mask(G.adj[a]):
-            if last.get((min(a, b), max(a, b))) == a:
-                return False
-        if remaining[a] == 1:
-            # last copy of a: every non-neighbour with no copies left must
-            # already have its 11 with a
-            for b in range(n):
-                if b != a and not G.has_edge(a, b) and remaining[b] == 0 and not doubled[a][b]:
-                    return False
-        return True
-
-    def place(a: int):
-        remaining[a] -= 1
-        word.append(a)
-        undo = []
-        for b in range(n):
-            if b == a:
-                continue
-            key = (min(a, b), max(a, b))
-            prev = last.get(key)
-            undo.append((key, prev))
-            if prev == a and not doubled[a][b]:
-                doubled[a][b] = doubled[b][a] = True
-                undo.append((key, "doubled"))
-            last[key] = a
-        return undo
-
-    def unplace(a: int, undo):
-        for key, prev in reversed(undo):
-            if prev == "doubled":
-                b = key[0] if key[1] == a else key[1]
-                doubled[a][b] = doubled[b][a] = False
-            elif prev is None:
-                del last[key]
-            else:
-                last[key] = prev
-        word.pop()
-        remaining[a] += 1
-
-    def rec() -> bool:
+    def rec(missing: int) -> bool:
         counter.tick()
-        if len(word) == total:
-            return all(
-                doubled[i][j]
-                for i in range(n)
-                for j in range(i + 1, n)
-                if not G.has_edge(i, j)
-            )
+        pos = len(word)
+        if missing > length - pos:
+            return False
+        if pos == length:
+            return all(elevens[a][b] > k for a in range(n) for b in non_nbrs[a])
         for a in range(n):
-            if not ok_to_place(a):
+            c = copies[a]
+            if c == quota:
                 continue
-            undo = place(a)
-            if rec():
+            la = lastpos[a]
+            row = elevens[a]
+            bumped = [b for b in others[a] if lastpos[b] < la]
+            if any(row[b] >= k for b in bumped if adj[a] >> b & 1):
+                continue
+            if c + 1 == quota and any(
+                copies[b] == quota and row[b] + (lastpos[b] < la) <= k for b in non_nbrs[a]
+            ):
+                continue
+            for b in bumped:
+                row[b] += 1
+                elevens[b][a] += 1
+            copies[a] = c + 1
+            lastpos[a] = pos
+            word.append(a)
+            if rec(missing - (c == 0)):
                 return True
-            unplace(a, undo)
+            word.pop()
+            lastpos[a] = la
+            copies[a] = c
+            for b in bumped:
+                row[b] -= 1
+                elevens[b][a] -= 1
         return False
 
-    if rec():
+    if rec(n):
         w = Word(G.labels, tuple(word))
-        if not verify_k11(w, G, 0):  # self-verification gate
-            raise AssertionError("uniform search produced an invalid word")
+        if not verify_k11(w, G, k):  # self-verification gate
+            raise AssertionError("word search produced an invalid word")
         return w
     return None
 
@@ -128,12 +110,13 @@ def find_uniform_representant(G: Graph, budget: SearchBudget = SearchBudget()) -
     BudgetExceeded if the search space cannot be exhausted in time.
     budget.max_nodes bounds the semi-transitive pre-check and the word
     search separately, so one call may visit up to twice that many nodes.
+    Each t runs ``_search_word`` with k = 0 and quota t, on one counter.
     """
     if search_semi_transitive(G, max_nodes=budget.max_nodes) is None:
         return None
     counter = _Budget(budget.max_nodes)
     for t in range(1, budget.max_uniformity + 1):
-        w = _search_uniform_word(G, t, counter)
+        w = _search_word(G, 0, G.n * t, t, counter)
         if w is not None:
             return w
     return None
@@ -144,83 +127,19 @@ def find_k11_representant(
 ) -> Optional[Word]:
     """Iterative-deepening search for a k-11-representant of bounded length.
 
+    Each length runs ``_search_word`` without a quota, on one counter.
     Edge pairs may accumulate at most k 11s (pruned immediately); at the
-    leaf every vertex must occur and every non-edge pair must have at
-    least k+1 of them.  Every returned word is re-verified.
+    leaf every vertex must occur and every non-edge pair must have at least
+    k+1 of them.  Every returned word is re-verified; k < 0 raises
+    ValueError before any search.
     """
-    n = G.n
+    if k < 0:
+        raise ValueError("k must be non-negative")
     counter = _Budget(budget.max_nodes)
-    for length in range(n, budget.max_word_length + 1):
-        got = _search_k11_word(G, k, length, counter)
-        if got is not None:
-            return got
-    return None
-
-
-def _search_k11_word(G: Graph, k: int, length: int, counter: _Budget) -> Optional[Word]:
-    n = G.n
-    word: list[int] = []
-    occ = [0] * n
-    last = {}
-    doubles = [[0] * n for _ in range(n)]
-
-    def rec() -> bool:
-        counter.tick()
-        missing = sum(1 for c in occ if c == 0)
-        slots = length - len(word)
-        if missing > slots:
-            return False
-        if slots == 0:
-            return all(
-                doubles[i][j] >= k + 1
-                for i in range(n)
-                for j in range(i + 1, n)
-                if not G.has_edge(i, j)
-            )
-        for a in range(n):
-            bad = False
-            bumped = []
-            for b in range(n):
-                if b == a:
-                    continue
-                if last.get((min(a, b), max(a, b))) == a:
-                    if G.has_edge(a, b) and doubles[a][b] + 1 > k:
-                        bad = True
-                        break
-                    bumped.append(b)
-            if bad:
-                continue
-            undo = []
-            for b in bumped:
-                doubles[a][b] += 1
-                doubles[b][a] += 1
-            for b in range(n):
-                if b == a:
-                    continue
-                key = (min(a, b), max(a, b))
-                undo.append((key, last.get(key)))
-                last[key] = a
-            occ[a] += 1
-            word.append(a)
-            if rec():
-                return True
-            word.pop()
-            occ[a] -= 1
-            for key, prev in undo:
-                if prev is None:
-                    del last[key]
-                else:
-                    last[key] = prev
-            for b in bumped:
-                doubles[a][b] -= 1
-                doubles[b][a] -= 1
-        return False
-
-    if rec():
-        w = Word(G.labels, tuple(word))
-        if not verify_k11(w, G, k):
-            raise AssertionError("k-11 search produced an invalid word")
-        return w
+    for length in range(G.n, budget.max_word_length + 1):
+        w = _search_word(G, k, length, None, counter)
+        if w is not None:
+            return w
     return None
 
 

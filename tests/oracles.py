@@ -12,7 +12,8 @@ from typing import Optional
 
 from wordrep import _kernels_py
 from wordrep.core import Graph, Word, iter_mask
-from wordrep.orient import Orientation, _edge_order
+from wordrep.orient import Orientation, _Budget, _edge_order
+from wordrep.verify import verify_k11
 
 
 def slow_pattern_11(w: Word, x: str, y: str) -> int:
@@ -200,3 +201,170 @@ def slow_canonical_min_bits(n: int, adj, classes) -> int:
 
     rec(0, [])
     return best
+
+
+# The two word searches that ``search._search_word`` replaced, verbatim apart
+# from their names: the uniform one and the bounded-length k-11 one.
+
+
+def slow_search_uniform_word(G: Graph, t: int, counter: _Budget) -> Optional[Word]:
+    """Backtracking search for a t-uniform 0-11-representant of G.
+
+    Alternation pruning: a letter may never create an adjacent equal pair
+    with a neighbour (a t-uniform pair subword without adjacent equals is
+    automatically alternating), and a non-edge pair whose letters are both
+    exhausted must already have its required 11.
+    """
+    n = G.n
+    total = n * t
+    remaining = [t] * n
+    last = {}
+    doubled = [[False] * n for _ in range(n)]
+    word: list[int] = []
+
+    def ok_to_place(a: int) -> bool:
+        if remaining[a] == 0:
+            return False
+        for b in iter_mask(G.adj[a]):
+            if last.get((min(a, b), max(a, b))) == a:
+                return False
+        if remaining[a] == 1:
+            # last copy of a: every non-neighbour with no copies left must
+            # already have its 11 with a
+            for b in range(n):
+                if b != a and not G.has_edge(a, b) and remaining[b] == 0 and not doubled[a][b]:
+                    return False
+        return True
+
+    def place(a: int):
+        remaining[a] -= 1
+        word.append(a)
+        undo = []
+        for b in range(n):
+            if b == a:
+                continue
+            key = (min(a, b), max(a, b))
+            prev = last.get(key)
+            undo.append((key, prev))
+            if prev == a and not doubled[a][b]:
+                doubled[a][b] = doubled[b][a] = True
+                undo.append((key, "doubled"))
+            last[key] = a
+        return undo
+
+    def unplace(a: int, undo):
+        for key, prev in reversed(undo):
+            if prev == "doubled":
+                b = key[0] if key[1] == a else key[1]
+                doubled[a][b] = doubled[b][a] = False
+            elif prev is None:
+                del last[key]
+            else:
+                last[key] = prev
+        word.pop()
+        remaining[a] += 1
+
+    def rec() -> bool:
+        counter.tick()
+        if len(word) == total:
+            return all(
+                doubled[i][j]
+                for i in range(n)
+                for j in range(i + 1, n)
+                if not G.has_edge(i, j)
+            )
+        for a in range(n):
+            if not ok_to_place(a):
+                continue
+            undo = place(a)
+            if rec():
+                return True
+            unplace(a, undo)
+        return False
+
+    if rec():
+        w = Word(G.labels, tuple(word))
+        if not verify_k11(w, G, 0):  # self-verification gate
+            raise AssertionError("uniform search produced an invalid word")
+        return w
+    return None
+
+
+def slow_search_k11_word(G: Graph, k: int, length: int, counter: _Budget) -> Optional[Word]:
+    n = G.n
+    word: list[int] = []
+    occ = [0] * n
+    last = {}
+    doubles = [[0] * n for _ in range(n)]
+
+    def rec() -> bool:
+        counter.tick()
+        missing = sum(1 for c in occ if c == 0)
+        slots = length - len(word)
+        if missing > slots:
+            return False
+        if slots == 0:
+            return all(
+                doubles[i][j] >= k + 1
+                for i in range(n)
+                for j in range(i + 1, n)
+                if not G.has_edge(i, j)
+            )
+        for a in range(n):
+            bad = False
+            bumped = []
+            for b in range(n):
+                if b == a:
+                    continue
+                if last.get((min(a, b), max(a, b))) == a:
+                    if G.has_edge(a, b) and doubles[a][b] + 1 > k:
+                        bad = True
+                        break
+                    bumped.append(b)
+            if bad:
+                continue
+            undo = []
+            for b in bumped:
+                doubles[a][b] += 1
+                doubles[b][a] += 1
+            for b in range(n):
+                if b == a:
+                    continue
+                key = (min(a, b), max(a, b))
+                undo.append((key, last.get(key)))
+                last[key] = a
+            occ[a] += 1
+            word.append(a)
+            if rec():
+                return True
+            word.pop()
+            occ[a] -= 1
+            for key, prev in undo:
+                if prev is None:
+                    del last[key]
+                else:
+                    last[key] = prev
+            for b in bumped:
+                doubles[a][b] -= 1
+                doubles[b][a] -= 1
+        return False
+
+    if rec():
+        w = Word(G.labels, tuple(word))
+        if not verify_k11(w, G, k):
+            raise AssertionError("k-11 search produced an invalid word")
+        return w
+    return None
+
+
+def brute_force_uniform_word(G: Graph, max_t: int) -> Optional[Word]:
+    """Lexicographically first t-uniform 0-11-representant of G (over index
+    sequences) for the smallest t <= max_t, by checking every sequence of
+    n*t letters against the definition."""
+    for t in range(1, max_t + 1):
+        for seq in product(range(G.n), repeat=G.n * t):
+            if all(seq.count(a) == t for a in range(G.n)):
+                w = Word(G.labels, seq)
+                if slow_graph_of_word(w, 0) == G:
+                    return w
+    return None

@@ -101,6 +101,12 @@ class TestOrient:
         monkeypatch.setenv("WORDREP_MAX_NODES", "2")
         assert main(["orient", "search", "w5"]) == 3
 
+    @pytest.mark.parametrize("raw", ["0", "-5"])
+    def test_non_positive_budget_env_exit_2(self, monkeypatch, capsys, raw):
+        monkeypatch.setenv("WORDREP_MAX_NODES", raw)
+        assert main(["orient", "search", "w5"]) == 2
+        assert f"bad WORDREP_MAX_NODES value '{raw}'" in capsys.readouterr().err
+
     def test_bad_budget_env(self, monkeypatch):
         monkeypatch.setenv("WORDREP_MAX_NODES", "lots")
         assert main(["orient", "search", "w5"]) == 2

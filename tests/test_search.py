@@ -3,13 +3,15 @@ from itertools import permutations
 
 import pytest
 
+from oracles import brute_force_uniform_word, slow_search_k11_word, slow_search_uniform_word
 from wordrep import _kernels, search
 from wordrep.core import Graph, complete_graph, cycle_graph, empty_graph, path_graph
 from wordrep.graph6 import parse_graph6, write_graph6
-from wordrep.orient import BudgetExceeded, search_semi_transitive
+from wordrep.orient import BudgetExceeded, _Budget, search_semi_transitive
 from wordrep.search import (
     SearchBudget,
     _automorphisms,
+    _search_word,
     canonical_form,
     census_from_graph6,
     census_non_word_representable,
@@ -107,9 +109,59 @@ class TestFindK11:
         # C4 needs more than 5 letters at k=0
         assert find_k11_representant(cycle_graph(tuple("1234")), 0, SearchBudget(max_word_length=5)) is None
 
+    def test_negative_k_raises_before_search(self):
+        C4 = cycle_graph(tuple("1234"))
+        for budget in (SearchBudget(max_nodes=2), SearchBudget()):
+            with pytest.raises(ValueError, match="k must be non-negative"):
+                find_k11_representant(C4, -1, budget)
+
     def test_node_budget_raises(self):
         with pytest.raises(BudgetExceeded):
             find_k11_representant(cycle_graph(tuple("1234")), 0, SearchBudget(max_nodes=3))
+
+
+class TestWordSearch:
+    """``_search_word`` against the two searches it replaced (same word and
+    same node count) and against a brute force over uniform words."""
+
+    @staticmethod
+    def _deepen(search, steps):
+        # the finders' loop: one counter over the steps, stop at the first word
+        counter = _Budget(None)
+        for step in steps:
+            w = search(step, counter)
+            if w is not None:
+                break
+        return w, counter.used
+
+    def test_uniform_matches_parent_search_up_to_6(self):
+        for n in range(1, 7):
+            for G in enumerate_nonisomorphic(n):
+                got = self._deepen(lambda t, c: _search_word(G, 0, n * t, t, c), range(1, 4))
+                want = self._deepen(lambda t, c: slow_search_uniform_word(G, t, c), range(1, 4))
+                assert got == want, G
+
+    def test_k11_matches_parent_search_up_to_4(self):
+        for n in range(1, 5):
+            for G in enumerate_nonisomorphic(n):
+                for k in range(3):
+                    got = self._deepen(lambda L, c: _search_word(G, k, L, None, c), range(n, 8))
+                    want = self._deepen(lambda L, c: slow_search_k11_word(G, k, L, c), range(n, 8))
+                    assert got == want, (G, k)
+
+    def test_uniform_matches_brute_force_up_to_4(self):
+        # with sound prunes, the depth-first search in letter order returns
+        # the lexicographically first word of the smallest uniformity
+        for n in range(1, 5):
+            for G in enumerate_nonisomorphic(n):
+                got, _ = self._deepen(lambda t, c: _search_word(G, 0, n * t, t, c), range(1, 3))
+                assert got == brute_force_uniform_word(G, 2), G
+
+    def test_last_copy_counts_its_own_11(self):
+        # x x y y: the last y makes the pair's second 11, so the quota rule
+        # must not refuse it for having only one 11 before it is placed
+        w = _search_word(empty_graph(("x", "y")), 1, 4, 2, _Budget(None))
+        assert str(w) == "x x y y"
 
 
 class TestEnumeration:
