@@ -34,7 +34,7 @@ def is_word_representable(G: Graph) -> bool:
     return search_semi_transitive(G) is not None
 
 
-# -- word representant search -----------------------------------------
+# -- word representant search ------------------------------------------
 
 
 def _search_word(
@@ -51,8 +51,7 @@ def _search_word(
     """
     n = G.n
     adj = G.adj
-    others = [[b for b in range(n) if b != a] for a in range(n)]
-    non_nbrs = [[b for b in others[a] if not adj[a] >> b & 1] for a in range(n)]
+    non_nbrs = [[b for b in range(n) if b != a and not adj[a] >> b & 1] for a in range(n)]
     copies = [0] * n
     lastpos = [-1] * n
     elevens = [[0] * n for _ in range(n)]
@@ -71,7 +70,7 @@ def _search_word(
                 continue
             la = lastpos[a]
             row = elevens[a]
-            bumped = [b for b in others[a] if lastpos[b] < la]
+            bumped = [b for b in range(n) if lastpos[b] < la]  # never a itself
             if any(row[b] >= k for b in bumped if adj[a] >> b & 1):
                 continue
             if c + 1 == quota and any(
