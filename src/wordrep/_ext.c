@@ -225,21 +225,27 @@ forced_shortcut_pair(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
 
 /* State of the search over class-respecting orderings.  Slot s of the
  * concatenated classes holds vertex verts[s]; position p of an ordering
- * takes a slot from [lo[p], hi[p]), the slots of the class it belongs to. */
+ * takes a slot from [lo[p], hi[p]), the slots of the class it belongs to,
+ * whose vertices are the mask cls[p]. */
 typedef struct {
     int n;
     u64 adj[MAX_CANON_N];
     u64 pair_bit[MAX_CANON_N][MAX_CANON_N]; /* bit of pair (a, b), a < b */
+    u64 lower_twins[MAX_CANON_N];           /* twins u < v of each vertex v */
+    u64 cls[MAX_CANON_N];
+    u64 free;                               /* vertices not yet placed */
     int verts[MAX_CANON_N], lo[MAX_CANON_N], hi[MAX_CANON_N];
     int order[MAX_CANON_N];
-    char used[MAX_CANON_N];
     u64 best;
 } Canon;
 
 /* Places positions p.. of the ordering.  ``bits`` already holds every pair
  * inside positions 0..p-1; placing position p adds the pairs (a, p), a < p.
  * Bits are only ever added, so a prefix whose bits are not below the best
- * found so far cannot lead to a smaller bitstring. */
+ * found so far cannot lead to a smaller bitstring.  Swapping two free twins
+ * (neighbourhoods equal apart from each other) is an automorphism fixing the
+ * prefix, so a vertex with a free lower twin in its class is skipped, as in
+ * the pure kernel. */
 static void
 canon_place(Canon *c, int p, u64 bits)
 {
@@ -247,20 +253,21 @@ canon_place(Canon *c, int p, u64 bits)
         c->best = bits;
         return;
     }
+    u64 cand = c->free & c->cls[p];
     for (int s = c->lo[p]; s < c->hi[p]; s++) {
-        if (c->used[s])
-            continue;
         int v = c->verts[s];
+        if (!(cand >> v & 1) || (c->lower_twins[v] & cand))
+            continue;
         u64 next = bits;
         for (int a = 0; a < p; a++)
             if (c->adj[c->order[a]] >> v & 1)
                 next |= c->pair_bit[a][p];
         if (next >= c->best)
             continue;
-        c->used[s] = 1;
+        c->free ^= 1ULL << v;
         c->order[p] = v;
         canon_place(c, p + 1, next);
-        c->used[s] = 0;
+        c->free ^= 1ULL << v;
     }
 }
 
@@ -296,18 +303,28 @@ canonical_min_bits(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
             c.verts[slots++] = (int)v;
         }
         Py_DECREF(cls);
+        u64 cls_mask = 0;
+        for (int p = start; p < slots; p++)
+            cls_mask |= 1ULL << c.verts[p];
         for (int p = start; p < slots; p++) {
             c.lo[p] = start;
             c.hi[p] = slots;
+            c.cls[p] = cls_mask;
         }
     }
     if (slots != n)
         return PyErr_Format(PyExc_ValueError, "classes must partition range(%d)", n);
+    for (int v = 0; v < n; v++) {
+        c.lower_twins[v] = 0;
+        for (int u = 0; u < v; u++)
+            if ((c.adj[u] & ~(1ULL << v)) == (c.adj[v] & ~(1ULL << u)))
+                c.lower_twins[v] |= 1ULL << u;
+    }
     int nbits = n * (n - 1) / 2, p = 0;
     for (int a = 0; a < n; a++)
         for (int b = a + 1; b < n; b++)
             c.pair_bit[a][b] = 1ULL << (nbits - 1 - p++);
-    memset(c.used, 0, sizeof c.used);
+    c.free = (1ULL << n) - 1;
     c.best = ~0ULL;
     canon_place(&c, 0, 0);
     return PyLong_FromUnsignedLongLong(c.best);

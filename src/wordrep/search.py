@@ -145,16 +145,35 @@ def find_k11_representant(
 # -- non-isomorphic enumeration ----------------------------------------
 
 
-def graph_from_canonical_bits(n: int, bits: int) -> Graph:
-    nbits = n * (n - 1) // 2
-    pairs = []
-    p = 0
+def _canonical_masks(n: int, bits: int) -> list[int]:
+    """Adjacency masks of the graph on n vertices whose packed upper-triangle
+    bitstring (pair (0, 1) most significant) is ``bits``."""
+    adj = [0] * n
+    p = n * (n - 1) // 2
     for i in range(n):
         for j in range(i + 1, n):
-            if bits >> (nbits - 1 - p) & 1:
-                pairs.append((i, j))
-            p += 1
-    return Graph.from_index_edges(tuple(str(i + 1) for i in range(n)), pairs)
+            p -= 1
+            if bits >> p & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
+
+
+def graph_from_canonical_bits(n: int, bits: int) -> Graph:
+    return Graph(tuple(str(i + 1) for i in range(n)), tuple(_canonical_masks(n, bits)))
+
+
+def _induces_connected(adj: Sequence[int], keep: int) -> bool:
+    """Whether the vertices of the mask ``keep`` induce a connected subgraph
+    (an empty mask does)."""
+    seen = frontier = keep & -keep
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = adj[low.bit_length() - 1] & keep & ~seen
+        seen |= new
+        frontier |= new
+    return seen == keep
 
 
 _BUILTIN_LIMIT = 8
@@ -195,6 +214,19 @@ def _automorphisms(G: Graph) -> list[tuple[int, ...]]:
     return out
 
 
+def _grows_from_last(adj: Sequence[int], connected: bool) -> bool:
+    """Whether the last vertex of the graph with adjacency masks ``adj`` has
+    minimum degree (if ``connected``: among the vertices that are not cut
+    vertices of this connected graph)."""
+    last = len(adj) - 1
+    d = adj[last].bit_count()
+    lighter = [v for v in range(last) if adj[v].bit_count() < d]
+    if not connected:
+        return not lighter
+    every = (2 << last) - 1
+    return not any(_induces_connected(adj, every & ~(1 << v)) for v in lighter)
+
+
 def _canonical_bits_upto(n: int, connected: bool) -> list[int]:
     """Sorted canonical bits of the graphs on n vertices (connected ones only
     if ``connected``), grown by one-vertex extensions of the family on n - 1.
@@ -203,14 +235,29 @@ def _canonical_bits_upto(n: int, connected: bool) -> list[int]:
     the connected family grows from connected parents alone, by a vertex with
     a non-empty neighbourhood.  Extensions by masks that an automorphism of
     the parent maps onto each other are isomorphic; only the smallest mask of
-    each orbit is canonicalized.  When the full family on n is already built,
-    the connected one is read off it instead.
+    each orbit is canonicalized.
+
+    Canonical deletion: an extension is kept only if its new vertex is one
+    the child could have been grown from, that is, of minimum degree in the
+    child (in the connected family: of minimum degree among the child's
+    non-cut vertices; the new vertex is never a cut vertex, as its parent is
+    connected).  Every class still appears.  Take a vertex v of a graph G
+    that meets the rule: G - v is in the parent family (connected when v is
+    not a cut vertex), so some parent H has an extension isomorphic to G
+    with v as its new vertex, and it passes the filter, as degrees and cut
+    vertices are invariant.  Orbit pruning keeps this: an automorphism of H
+    extends to an isomorphism of the children that fixes the new vertex, so
+    the filter passes or fails a whole orbit at once.
+
+    When the full family on n is already built, the connected one is read
+    off it instead.
     """
     key = (n, connected)
     if key in _enum_cache:
         return _enum_cache[key]
     if connected and (n, False) in _enum_cache:
-        forms = [b for b in _enum_cache[n, False] if graph_from_canonical_bits(n, b).is_connected()]
+        every = (1 << n) - 1
+        forms = [b for b in _enum_cache[n, False] if _induces_connected(_canonical_masks(n, b), every)]
     elif n == 1:
         forms = [0]
     else:
@@ -218,17 +265,18 @@ def _canonical_bits_upto(n: int, connected: bool) -> list[int]:
         labels = tuple(str(i + 1) for i in range(n))
         for bits in _canonical_bits_upto(n - 1, connected):
             base = graph_from_canonical_bits(n - 1, bits)
-            base_pairs = base.edges()
             autos = _automorphisms(base)
             seen = set()
             # ascending order: the first mask met in an orbit is its smallest
             for nbh in range(1 if connected else 0, 1 << (n - 1)):
                 if nbh in seen:
                     continue
+                child = [m | (nbh >> v & 1) << (n - 1) for v, m in enumerate(base.adj)]
+                child.append(nbh)
+                if not _grows_from_last(child, connected):
+                    continue
                 seen.update(_image_mask(p, nbh) for p in autos)
-                pairs = base_pairs + [(i, n - 1) for i in iter_mask(nbh)]
-                G = Graph.from_index_edges(labels, pairs)
-                forms_set.add(canonical_form(G)[1])
+                forms_set.add(canonical_form(Graph(labels, tuple(child)))[1])
         forms = sorted(forms_set)
     _enum_cache[key] = forms
     return forms

@@ -11,8 +11,9 @@ from itertools import permutations, product
 from typing import Optional
 
 from wordrep import _kernels_py
-from wordrep.core import Graph, Word, iter_mask
+from wordrep.core import Graph, Word, canonical_form, iter_mask
 from wordrep.orient import Orientation, _Budget, _edge_order
+from wordrep.search import _automorphisms, _image_mask, graph_from_canonical_bits
 from wordrep.verify import verify_k11
 
 
@@ -368,3 +369,27 @@ def brute_force_uniform_word(G: Graph, max_t: int) -> Optional[Word]:
                 if slow_graph_of_word(w, 0) == G:
                     return w
     return None
+
+
+def slow_canonical_bits_upto(n: int, connected: bool) -> list[int]:
+    """The enumeration's growth before the canonical-deletion filter,
+    verbatim apart from its name (and with no cache): every orbit-smallest
+    one-vertex extension of every parent is canonicalized."""
+    if n == 1:
+        return [0]
+    forms_set = set()
+    labels = tuple(str(i + 1) for i in range(n))
+    for bits in slow_canonical_bits_upto(n - 1, connected):
+        base = graph_from_canonical_bits(n - 1, bits)
+        base_pairs = base.edges()
+        autos = _automorphisms(base)
+        seen = set()
+        # ascending order: the first mask met in an orbit is its smallest
+        for nbh in range(1 if connected else 0, 1 << (n - 1)):
+            if nbh in seen:
+                continue
+            seen.update(_image_mask(p, nbh) for p in autos)
+            pairs = base_pairs + [(i, n - 1) for i in iter_mask(nbh)]
+            G = Graph.from_index_edges(labels, pairs)
+            forms_set.add(canonical_form(G)[1])
+    return sorted(forms_set)

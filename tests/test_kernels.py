@@ -262,8 +262,7 @@ def test_canonical_kernels_match_oracles_8_to_10():
     assert min(checked.values()) >= 30 and min(symmetric.values()) >= 20
 
 
-def test_canonical_kernels_match_oracles_on_twins():
-    rng = random.Random(79)
+def _twin_graphs():
     graphs = [complete_graph(_labels(n)) for n in range(1, 8)]
     graphs += [empty_graph(_labels(n)) for n in range(1, 8)]
     graphs += [_complete_bipartite(a, b) for a in range(1, 5) for b in range(a, 9 - a)]
@@ -273,9 +272,25 @@ def test_canonical_kernels_match_oracles_on_twins():
     pairs = [(x, y)] + [(x, v) for v in f] + [(y, v) for v in t]
     pairs += [(u, v) for u in t for v in t if u < v]
     graphs.append(Graph.from_index_edges(_labels(8), pairs))
-    for G in graphs:
+    return graphs
+
+
+def test_canonical_kernels_match_oracles_on_twins():
+    rng = random.Random(79)
+    for G in _twin_graphs():
         _assert_canonical_kernels_match_oracles(G)
         _assert_canonical_kernels_match_oracles(_relabelled(rng, G))
+
+
+def test_compiled_canonical_min_bits_on_twins(ext):
+    # the compiled kernel skips twins by the pure kernel's rule
+    rng = random.Random(83)
+    for G in _twin_graphs():
+        for H in (G, _relabelled(rng, G)):
+            classes = _refined_classes(H)
+            assert ext.canonical_min_bits(H.n, list(H.adj), classes) == slow_canonical_min_bits(
+                H.n, H.adj, classes
+            )
 
 
 def test_enumeration_through_extension(ext, monkeypatch):

@@ -1,9 +1,15 @@
+import hashlib
 import random
 from itertools import permutations
 
 import pytest
 
-from oracles import brute_force_uniform_word, slow_search_k11_word, slow_search_uniform_word
+from oracles import (
+    brute_force_uniform_word,
+    slow_canonical_bits_upto,
+    slow_search_k11_word,
+    slow_search_uniform_word,
+)
 from wordrep import _kernels, search
 from wordrep.core import Graph, complete_graph, cycle_graph, empty_graph, path_graph
 from wordrep.graph6 import parse_graph6, write_graph6
@@ -166,9 +172,17 @@ class TestWordSearch:
 
 class TestEnumeration:
     def test_counts_all(self):
-        expected = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
+        expected = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
         for n, count in expected.items():
             assert sum(1 for _ in enumerate_nonisomorphic(n)) == count
+
+    def test_counts_n8(self, monkeypatch):
+        # the full family is grown (about 2 s); the connected one is then
+        # read off it, so no smaller connected family is ever built
+        monkeypatch.setattr(search, "_enum_cache", {})
+        assert sum(1 for _ in enumerate_nonisomorphic(8)) == 12346
+        assert sum(1 for _ in enumerate_nonisomorphic(8, connected_only=True)) == 11117
+        assert not any(connected for n, connected in search._enum_cache if n < 8)
 
     def test_counts_connected(self):
         expected = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -189,6 +203,43 @@ class TestEnumeration:
         monkeypatch.setattr(search, "_enum_cache", {(n, False): search._enum_cache[n, False] for n in range(1, 8)})
         for n in range(1, 8):
             assert [G.adj for G in enumerate_nonisomorphic(n, connected_only=True)] == grown[n - 1]
+
+    def test_growth_matches_unfiltered_growth_up_to_7(self, monkeypatch):
+        # the canonical-deletion filter drops extensions, never classes.
+        # Connected families first, so that they are grown, not read off.
+        monkeypatch.setattr(search, "_enum_cache", {})
+        for connected in (True, False):
+            for n in range(1, 8):
+                assert search._canonical_bits_upto(n, connected) == slow_canonical_bits_upto(n, connected)
+
+    def test_canonical_form_calls_at_7(self, monkeypatch):
+        # the extensions that pass the filter and the orbit pruning at n = 7
+        # (3,771 connected and 5,096 in all without the filter)
+        calls = []
+        monkeypatch.setattr(search, "canonical_form", lambda G: calls.append(G) or canonical_form(G))
+        for connected, expected in ((True, 1192), (False, 1401)):
+            monkeypatch.setattr(search, "_enum_cache", {})
+            search._canonical_bits_upto(6, connected)
+            calls.clear()
+            search._canonical_bits_upto(7, connected)
+            assert len(calls) == expected
+
+    def test_canonical_deletion_rule(self):
+        # a path 0-2-1 grown by its middle vertex: the leaves are lighter
+        # and are not cut vertices
+        assert not search._grows_from_last([0b100, 0b100, 0b011], True)
+        assert not search._grows_from_last([0b100, 0b100, 0b011], False)
+        # two K4s, {0..3} and {5..8}, joined through vertex 4 (degree 2, a
+        # cut vertex).  Vertex 8 (degree 3) is of minimum degree among the
+        # non-cut vertices only; no connected graph on 8 or fewer vertices
+        # has every vertex of minimum degree a cut vertex
+        pairs = [(i, j) for k in (0, 5) for i in range(k, k + 4) for j in range(i + 1, k + 4)]
+        G = Graph.from_index_edges(tuple(str(i) for i in range(9)), pairs + [(3, 4), (4, 5)])
+        assert search._grows_from_last(G.adj, True)
+        assert not search._grows_from_last(G.adj, False)
+        # every vertex of K_4 ties at degree 3: ties are allowed
+        K4 = complete_graph(tuple("1234"))
+        assert search._grows_from_last(K4.adj, True) and search._grows_from_last(K4.adj, False)
 
     def test_automorphisms_match_brute_force(self):
         for n in range(1, 7):
@@ -244,6 +295,33 @@ class TestEnumeration:
         n, bits = canonical_form(G)
         H = graph_from_canonical_bits(n, bits)
         assert canonical_form(H) == (n, bits)
+
+
+# sha256 prefixes of the census and enumeration output, as recorded in
+# BENCH_pr6.json (identical_output_sha256_16) with its identical_output_method
+PINNED_CENSUS = {5: "241d83f56f9b66b0", 6: "dda559b94539c0f7", 7: "e5ff377c1f392d05"}
+PINNED_ENUMERATION = {
+    (1, False): "e9dfc3de7acd56bc", (1, True): "e9dfc3de7acd56bc",
+    (2, False): "f855b3dfb088a4fc", (2, True): "b88797b3fac3b1fe",
+    (3, False): "3fa1fd22f7677bab", (3, True): "e7eab17a23fb01ae",
+    (4, False): "28b0a7de118784fb", (4, True): "ed52234f2ddcf84b",
+    (5, False): "5f3d6fcbdfc815af", (5, True): "3c2e71dcb4953741",
+    (6, False): "8be78edb77b777af", (6, True): "bcf6006e2c2fffbb",
+    (7, False): "6d16b69436f2ebc7", (7, True): "ca2ac08ce1557842",
+}
+
+
+def _sha16(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def test_output_matches_recorded_hashes(monkeypatch):
+    monkeypatch.setattr(search, "_enum_cache", {})
+    for n, digest in PINNED_CENSUS.items():
+        r = census_non_word_representable(n)
+        assert _sha16((r.n, r.examined, [(G.labels, G.adj) for G in r.non_word_representable])) == digest
+    for (n, connected), digest in PINNED_ENUMERATION.items():
+        assert _sha16([(G.labels, G.adj) for G in enumerate_nonisomorphic(n, connected)]) == digest
 
 
 class TestCensus:
