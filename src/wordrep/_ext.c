@@ -223,10 +223,8 @@ forced_shortcut_pair(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
     Py_RETURN_NONE;
 }
 
-/* State of the search over class-respecting orderings.  Slot s of the
- * concatenated classes holds vertex verts[s]; position p of an ordering
- * takes a slot from [lo[p], hi[p]), the slots of the class it belongs to,
- * whose vertices are the mask cls[p]. */
+/* State of the search over class-respecting orderings: position p of an
+ * ordering takes a free vertex of cls[p], the class it belongs to. */
 typedef struct {
     int n;
     u64 adj[MAX_CANON_N];
@@ -234,7 +232,6 @@ typedef struct {
     u64 lower_twins[MAX_CANON_N];           /* twins u < v of each vertex v */
     u64 cls[MAX_CANON_N];
     u64 free;                               /* vertices not yet placed */
-    int verts[MAX_CANON_N], lo[MAX_CANON_N], hi[MAX_CANON_N];
     int order[MAX_CANON_N];
     u64 best;
 } Canon;
@@ -254,9 +251,9 @@ canon_place(Canon *c, int p, u64 bits)
         return;
     }
     u64 cand = c->free & c->cls[p];
-    for (int s = c->lo[p]; s < c->hi[p]; s++) {
-        int v = c->verts[s];
-        if (!(cand >> v & 1) || (c->lower_twins[v] & cand))
+    for (u64 m = cand; m; m &= m - 1) {
+        int v = lowest_bit(m);
+        if (c->lower_twins[v] & cand)
             continue;
         u64 next = bits;
         for (int a = 0; a < p; a++)
@@ -286,31 +283,31 @@ canonical_min_bits(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
     if (read_masks(adj_list, n, c.adj, 0) < 0)
         return NULL;
     c.n = n;
+    /* positions taken so far, and the vertices they hold; a vertex met twice
+     * leaves fewer than n distinct ones, so the classes are no partition */
     int slots = 0;
+    u64 seen = 0;
     for (Py_ssize_t k = 0; k < PyList_GET_SIZE(classes); k++) {
         PyObject *cls = PySequence_Fast(PyList_GET_ITEM(classes, k), "classes must hold sequences");
         if (cls == NULL)
             return NULL;
         int start = slots;
+        u64 mask = 0;
         for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(cls); i++) {
             long v = slots < n ? PyLong_AsLong(PySequence_Fast_GET_ITEM(cls, i)) : -1;
-            if (v < 0 || v >= n) {
+            if (v < 0 || v >= n || (seen >> v & 1)) {
                 Py_DECREF(cls);
                 if (!PyErr_Occurred())
                     PyErr_Format(PyExc_ValueError, "classes must partition range(%d)", n);
                 return NULL;
             }
-            c.verts[slots++] = (int)v;
+            seen |= 1ULL << v;
+            mask |= 1ULL << v;
+            slots++;
         }
         Py_DECREF(cls);
-        u64 cls_mask = 0;
         for (int p = start; p < slots; p++)
-            cls_mask |= 1ULL << c.verts[p];
-        for (int p = start; p < slots; p++) {
-            c.lo[p] = start;
-            c.hi[p] = slots;
-            c.cls[p] = cls_mask;
-        }
+            c.cls[p] = mask;
     }
     if (slots != n)
         return PyErr_Format(PyExc_ValueError, "classes must partition range(%d)", n);
@@ -324,7 +321,7 @@ canonical_min_bits(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
     for (int a = 0; a < n; a++)
         for (int b = a + 1; b < n; b++)
             c.pair_bit[a][b] = 1ULL << (nbits - 1 - p++);
-    c.free = (1ULL << n) - 1;
+    c.free = seen;
     c.best = ~0ULL;
     canon_place(&c, 0, 0);
     return PyLong_FromUnsignedLongLong(c.best);

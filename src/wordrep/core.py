@@ -168,22 +168,7 @@ class Graph:
         return not any(self.has_edge(i, j) for a, i in enumerate(idxs) for j in idxs[a + 1:])
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            m = frontier
-            i = 0
-            while m:
-                if m & 1:
-                    nxt |= self.adj[i]
-                m >>= 1
-                i += 1
-            frontier = nxt & ~seen
-            seen |= nxt
-        return seen == (1 << self.n) - 1
+        return _induces_connected(self.adj, (1 << self.n) - 1)
 
     def relabel(self, mapping: dict[str, str]) -> "Graph":
         labels = tuple(mapping.get(lab, lab) for lab in self.labels)
@@ -359,6 +344,19 @@ def cycle_graph(labels: Sequence[str]) -> Graph:
 def path_graph(labels: Sequence[str]) -> Graph:
     labels = tuple(labels)
     return Graph.from_edges(labels, list(zip(labels, labels[1:])))
+
+
+def _induces_connected(adj: Sequence[int], keep: int) -> bool:
+    """Whether the vertices of the mask ``keep`` induce a connected subgraph
+    of the graph with adjacency masks ``adj`` (an empty mask does)."""
+    seen = frontier = keep & -keep
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = adj[low.bit_length() - 1] & keep & ~seen
+        seen |= new
+        frontier |= new
+    return seen == keep
 
 
 def iter_mask(mask: int) -> Iterator[int]:

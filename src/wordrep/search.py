@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .core import Graph, Word, _refined_classes, canonical_form, iter_mask
+from .core import Graph, Word, _induces_connected, _refined_classes, canonical_form, iter_mask
 from .orient import _Budget, search_semi_transitive
 from .verify import verify_k11
 
@@ -161,19 +161,6 @@ def _canonical_masks(n: int, bits: int) -> list[int]:
 
 def graph_from_canonical_bits(n: int, bits: int) -> Graph:
     return Graph(tuple(str(i + 1) for i in range(n)), tuple(_canonical_masks(n, bits)))
-
-
-def _induces_connected(adj: Sequence[int], keep: int) -> bool:
-    """Whether the vertices of the mask ``keep`` induce a connected subgraph
-    (an empty mask does)."""
-    seen = frontier = keep & -keep
-    while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        new = adj[low.bit_length() - 1] & keep & ~seen
-        seen |= new
-        frontier |= new
-    return seen == keep
 
 
 _BUILTIN_LIMIT = 8

@@ -293,6 +293,13 @@ def test_compiled_canonical_min_bits_on_twins(ext):
             )
 
 
+def test_compiled_canonical_min_bits_rejects_non_partition(ext):
+    adj = [0b110, 0b101, 0b011]
+    for classes in ([[0, 1], [1]], [[0, 1]], [[0, 1, 2, 0]], [[0, 3], [1]], [[-1], [0, 1]]):
+        with pytest.raises(ValueError, match="partition"):
+            ext.canonical_min_bits(3, adj, classes)
+
+
 def test_enumeration_through_extension(ext, monkeypatch):
     monkeypatch.setattr(_kernels, "HAVE_EXT", False)
     monkeypatch.setattr(search, "_enum_cache", {})
