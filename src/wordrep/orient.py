@@ -198,7 +198,12 @@ def search_semi_transitive(G: Graph, max_nodes: Optional[int] = None) -> Optiona
     Returns None only after exhausting the search space, which by the
     semi-transitive characterization proves G non-word-representable.
     Branches deterministically: for the edge {u, v} with u < v the arc
-    u->v is tried first.  ``max_nodes`` bounds the number of search nodes;
+    u->v is tried first.  On the first edge it is the only one tried:
+    reversing every arc of a semi-transitive orientation gives a
+    semi-transitive orientation (a cycle or a shortcut reversed is one
+    again), so if none has u->v, none has v->u either.  A "no" thus
+    explores one root subtree, and a "yes" is found on the same branch as
+    with both.  ``max_nodes`` bounds the number of search nodes;
     exceeding it raises BudgetExceeded (outcome unknown).  Reachability is
     carried down the recursion and updated per arc (``_kernels.add_arc``),
     so each node checks only the intervals through its new arc.
@@ -213,7 +218,7 @@ def search_semi_transitive(G: Graph, max_nodes: Optional[int] = None) -> Optiona
         if k == len(edges):
             return True
         u, v = edges[k]
-        for x, y in ((u, v), (v, u)):
+        for x, y in ((u, v), (v, u)) if k else ((u, v),):
             succ[x] |= 1 << y
             # None: x->y closes a directed cycle or forces a violation that
             # no orientation of the remaining edges can repair

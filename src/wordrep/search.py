@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import Graph, Word, _induces_connected, _refined_classes, canonical_form, iter_mask
@@ -169,35 +168,52 @@ _enum_cache: dict[tuple[int, bool], list[int]] = {}
 
 def _image_mask(perm: Sequence[int], mask: int) -> int:
     out = 0
-    for v in iter_mask(mask):
-        out |= 1 << perm[v]
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= 1 << perm[low.bit_length() - 1]
     return out
 
 
 def _automorphisms(G: Graph) -> list[tuple[int, ...]]:
     """Every automorphism of G as an image tuple (p[v] is the image of v).
 
-    Only permutations that map each ``_refined_classes`` class onto itself
-    are tried: an automorphism preserves the refined colours.
+    Images are assigned one vertex at a time, class by class in
+    ``_refined_classes`` order: an automorphism preserves the refined
+    colours, so v maps into its own class.  A partial map is dropped as soon
+    as it breaks an adjacency among the vertices already placed, that is,
+    when the neighbours of v's image among the placed images are not the
+    images of v's placed neighbours.  A map that places every vertex this
+    way preserves every edge and non-edge.
     """
-    classes = _refined_classes(G)
     n = G.n
     adj = G.adj
+    order = []
+    class_mask = [0] * n
+    for cls in _refined_classes(G):
+        mask = sum(1 << v for v in cls)
+        order += cls
+        for v in cls:
+            class_mask[v] = mask
     out = []
     perm = [0] * n
 
-    def rec(ci: int):
-        if ci == len(classes):
-            if all(_image_mask(perm, adj[v]) == adj[perm[v]] for v in range(n)):
-                out.append(tuple(perm))
+    def rec(i: int, placed: int, image: int):
+        if i == n:
+            out.append(tuple(perm))
             return
-        cls = classes[ci]
-        for images in permutations(cls):
-            for v, pv in zip(cls, images):
+        v = order[i]
+        want = _image_mask(perm, adj[v] & placed)
+        free = class_mask[v] & ~image
+        while free:
+            low = free & -free
+            free ^= low
+            pv = low.bit_length() - 1
+            if adj[pv] & image == want:
                 perm[v] = pv
-            rec(ci + 1)
+                rec(i + 1, placed | 1 << v, image | low)
 
-    rec(0)
+    rec(0, 0, 0)
     return out
 
 

@@ -13,7 +13,7 @@ from typing import Optional
 from wordrep import _kernels_py
 from wordrep.core import Graph, Word, canonical_form, iter_mask
 from wordrep.orient import Orientation, _Budget, _edge_order
-from wordrep.search import _automorphisms, _image_mask, graph_from_canonical_bits
+from wordrep.search import graph_from_canonical_bits
 from wordrep.verify import verify_k11
 
 
@@ -124,12 +124,16 @@ def random_word(rng, labels, extra: int) -> Word:
     return Word.from_labels(tuple(labels), seq)
 
 
-def slow_search_semi_transitive(G: Graph) -> tuple[Optional[tuple[int, ...]], int]:
+def slow_search_semi_transitive(
+    G: Graph, one_sided_root: bool = False
+) -> tuple[Optional[tuple[int, ...]], int]:
     """The semi-transitive search with full recomputation at every node.
 
     Same edge order and branch order as ``orient.search_semi_transitive``,
     but each node recomputes reachability and rescans every arc with the
-    reference ``forced_shortcut_pair``.  Returns (succ or None, node count).
+    reference ``forced_shortcut_pair``.  Both directions of the first edge
+    are tried unless ``one_sided_root``, which tries u->v alone there, as
+    the library search does.  Returns (succ or None, node count).
     """
     edges = _edge_order(G)
     n = G.n
@@ -142,7 +146,8 @@ def slow_search_semi_transitive(G: Graph) -> tuple[Optional[tuple[int, ...]], in
         if k == len(edges):
             return True
         u, v = edges[k]
-        for x, y in ((u, v), (v, u)):
+        directions = [(u, v)] if k == 0 and one_sided_root else [(u, v), (v, u)]
+        for x, y in directions:
             succ[x] |= 1 << y
             try:
                 ok = _kernels_py.forced_shortcut_pair(n, succ, G.adj) is None
@@ -371,10 +376,22 @@ def brute_force_uniform_word(G: Graph, max_t: int) -> Optional[Word]:
     return None
 
 
+def brute_force_automorphisms(G: Graph) -> list[tuple[int, ...]]:
+    """Every permutation p of range(n) with p[i] p[j] an edge exactly when
+    i j is one, in lexicographic order."""
+    n = G.n
+    return [
+        p for p in permutations(range(n))
+        if all(G.has_edge(p[i], p[j]) == G.has_edge(i, j)
+               for i in range(n) for j in range(i + 1, n))
+    ]
+
+
 def slow_canonical_bits_upto(n: int, connected: bool) -> list[int]:
-    """The enumeration's growth before the canonical-deletion filter,
-    verbatim apart from its name (and with no cache): every orbit-smallest
-    one-vertex extension of every parent is canonicalized."""
+    """The enumeration's growth before the canonical-deletion filter (and
+    with no cache): every orbit-smallest one-vertex extension of every
+    parent is canonicalized.  Orbits come from the brute-force
+    automorphisms."""
     if n == 1:
         return [0]
     forms_set = set()
@@ -382,13 +399,13 @@ def slow_canonical_bits_upto(n: int, connected: bool) -> list[int]:
     for bits in slow_canonical_bits_upto(n - 1, connected):
         base = graph_from_canonical_bits(n - 1, bits)
         base_pairs = base.edges()
-        autos = _automorphisms(base)
+        autos = brute_force_automorphisms(base)
         seen = set()
         # ascending order: the first mask met in an orbit is its smallest
         for nbh in range(1 if connected else 0, 1 << (n - 1)):
             if nbh in seen:
                 continue
-            seen.update(_image_mask(p, nbh) for p in autos)
+            seen.update(sum(1 << p[v] for v in iter_mask(nbh)) for p in autos)
             pairs = base_pairs + [(i, n - 1) for i in iter_mask(nbh)]
             G = Graph.from_index_edges(labels, pairs)
             forms_set.add(canonical_form(G)[1])

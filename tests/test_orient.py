@@ -3,6 +3,7 @@ import random
 import pytest
 
 from oracles import all_orientations, exhaustive_semi_transitive, slow_search_semi_transitive
+from wordrep import catalog
 from wordrep.core import Graph, complete_graph, cycle_graph, path_graph
 from wordrep.orient import (
     BudgetExceeded,
@@ -196,13 +197,24 @@ class TestSearch:
             assert (search_semi_transitive(G) is not None) == expected
 
 
+def _random_graphs_8_to_11():
+    rng = random.Random(61)
+    for _ in range(30):
+        n = rng.randrange(8, 12)
+        p = rng.choice((0.3, 0.4, 0.5))
+        labels = tuple(str(i) for i in range(n))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        yield Graph.from_index_edges(labels, pairs)
+
+
 class TestIncrementalSearch:
-    """The incremental search against the full-recompute reference: the same
-    orientation (or none) after the same number of nodes."""
+    """The incremental search against the full-recompute reference with the
+    same one-sided root: the same orientation (or none) after the same
+    number of nodes."""
 
     @staticmethod
     def _assert_same_search(G):
-        succ, nodes = slow_search_semi_transitive(G)
+        succ, nodes = slow_search_semi_transitive(G, one_sided_root=True)
         D = search_semi_transitive(G, max_nodes=nodes)
         assert (None if D is None else D.succ) == succ
         with pytest.raises(BudgetExceeded):
@@ -214,10 +226,45 @@ class TestIncrementalSearch:
                 self._assert_same_search(G)
 
     def test_random_graphs_8_to_11(self):
-        rng = random.Random(61)
-        for _ in range(30):
-            n = rng.randrange(8, 12)
-            p = rng.choice((0.3, 0.4, 0.5))
-            labels = tuple(str(i) for i in range(n))
-            pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-            self._assert_same_search(Graph.from_index_edges(labels, pairs))
+        for G in _random_graphs_8_to_11():
+            self._assert_same_search(G)
+
+
+class TestRootRule:
+    """Fixing u->v on the first edge against the search that tries both
+    directions there: the same verdict; a "yes" with the same orientation
+    after the same number of nodes, a "no" after strictly fewer."""
+
+    @staticmethod
+    def _assert_root_rule(G):
+        succ, nodes = slow_search_semi_transitive(G)
+        if succ is None:
+            assert search_semi_transitive(G, max_nodes=nodes - 1) is None
+        else:
+            assert search_semi_transitive(G, max_nodes=nodes).succ == succ
+            with pytest.raises(BudgetExceeded):
+                search_semi_transitive(G, max_nodes=nodes - 1)
+
+    def test_every_connected_graph_up_to_7(self):
+        for n in range(1, 8):
+            for G in enumerate_nonisomorphic(n, connected_only=True):
+                self._assert_root_rule(G)
+
+    def test_random_graphs_8_to_11(self):
+        for G in _random_graphs_8_to_11():
+            self._assert_root_rule(G)
+
+
+class TestNodeCounts:
+    """Search nodes do not depend on the machine: each count is exact
+    (enough at N, BudgetExceeded at N - 1).  A "no" explores only the u->v
+    subtree of the first edge."""
+
+    @pytest.mark.parametrize("name, nodes", [
+        ("w5", 105), ("split-min", 1068), ("graph12", 360), ("graph17", 127), ("chvatal", 6717),
+    ])
+    def test_no_instances(self, name, nodes):
+        G = catalog.get(name).graph
+        assert search_semi_transitive(G, max_nodes=nodes) is None
+        with pytest.raises(BudgetExceeded):
+            search_semi_transitive(G, max_nodes=nodes - 1)

@@ -1,16 +1,16 @@
 import hashlib
 import random
-from itertools import permutations
 
 import pytest
 
 from oracles import (
+    brute_force_automorphisms,
     brute_force_uniform_word,
     slow_canonical_bits_upto,
     slow_search_k11_word,
     slow_search_uniform_word,
 )
-from wordrep import _kernels, search
+from wordrep import _kernels, orient, search
 from wordrep.core import Graph, complete_graph, cycle_graph, empty_graph, path_graph
 from wordrep.graph6 import parse_graph6, write_graph6
 from wordrep.orient import BudgetExceeded, _Budget, search_semi_transitive
@@ -242,14 +242,31 @@ class TestEnumeration:
         assert search._grows_from_last(K4.adj, True) and search._grows_from_last(K4.adj, False)
 
     def test_automorphisms_match_brute_force(self):
+        # each graph as enumerated, and relabelled so that its refined
+        # classes are not runs of consecutive indices
+        rng = random.Random(7)
         for n in range(1, 7):
             for G in enumerate_nonisomorphic(n):
-                brute = [
-                    p for p in permutations(range(n))
-                    if all(G.has_edge(p[i], p[j]) == G.has_edge(i, j)
-                           for i in range(n) for j in range(i + 1, n))
-                ]
-                assert sorted(_automorphisms(G)) == brute
+                perm = list(range(n))
+                rng.shuffle(perm)
+                H = Graph.from_index_edges(G.labels, [(perm[i], perm[j]) for i, j in G.edges()])
+                for F in (G, H):
+                    assert sorted(_automorphisms(F)) == brute_force_automorphisms(F)
+
+    def test_automorphisms_match_brute_force_at_7(self):
+        labels = tuple("1234567")
+        graphs = [
+            cycle_graph(labels),
+            complete_graph(labels),
+            Graph.from_index_edges(labels, [(i, j) for i in range(3) for j in range(3, 7)]),
+            empty_graph(labels),
+        ]
+        rng = random.Random(77)
+        for _ in range(10):
+            pairs = [(i, j) for i in range(7) for j in range(i + 1, 7) if rng.random() < 0.5]
+            graphs.append(Graph.from_index_edges(labels, pairs))
+        for G in graphs:
+            assert sorted(_automorphisms(G)) == brute_force_automorphisms(G)
 
     def test_range_checks(self):
         with pytest.raises(ValueError):
@@ -361,6 +378,22 @@ class TestCensus:
         assert r == census_non_word_representable(6)
         assert r.examined == 112
         assert len(r.non_word_representable) == 1
+
+    def test_search_nodes_n7(self, monkeypatch):
+        # semi-transitive search nodes over the whole census: 10,371 for the
+        # 828 yes-instances and 6,376 for the 25 no-instances (12,727 when
+        # both directions of the first edge were tried)
+        budgets = []
+
+        class Recorded(orient._Budget):
+            def __init__(self, limit):
+                super().__init__(limit)
+                budgets.append(self)
+
+        monkeypatch.setattr(orient, "_Budget", Recorded)
+        r = census_non_word_representable(7)
+        assert len(budgets) == r.examined == 853
+        assert sum(b.used for b in budgets) == 16747
 
     def test_census_from_graph6_rejects_mixed_n(self):
         lines = [write_graph6(complete_graph(tuple("123"))), write_graph6(complete_graph(tuple("1234")))]
