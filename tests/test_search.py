@@ -381,8 +381,7 @@ class TestCensus:
 
     def test_search_nodes_n7(self, monkeypatch):
         # semi-transitive search nodes over the whole census: 10,371 for the
-        # 828 yes-instances and 6,376 for the 25 no-instances (12,727 when
-        # both directions of the first edge were tried)
+        # 828 yes-instances and 6,376 for the 25 no-instances
         budgets = []
 
         class Recorded(orient._Budget):
