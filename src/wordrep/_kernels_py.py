@@ -210,7 +210,8 @@ def canonical_min_bits(n, adj, classes):
       placed prefix, so it maps the completions with v at position p onto
       those with u there, bit for bit.  A free vertex with a free lower twin
       in its class is therefore skipped; the lowest vertex that reaches the
-      minimum never is.
+      minimum never is.  Only twins within a class are ever looked up, so
+      only those are tabled.
     """
     col = _column_bits(n)
     free = []
@@ -221,11 +222,13 @@ def canonical_min_bits(n, adj, classes):
             m |= 1 << v
         free.append(m)
         class_at += [ci] * len(cls)
+    # read only through ``& cand``, and cand lies within v's class
     lower_twins = [0] * n
-    for v in range(n):
-        for u in range(v):
-            if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
-                lower_twins[v] |= 1 << u
+    for cls in classes:
+        for v in cls:
+            for u in cls:
+                if u < v and adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+                    lower_twins[v] |= 1 << u
     position = [0] * n
     best = 1 << (n * (n - 1) // 2)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from . import _kernels
@@ -21,6 +21,16 @@ def _check_label(label: str) -> str:
     if not isinstance(label, str) or not _LABEL_RE.match(label):
         raise ValueError(f"bad vertex label: {label!r}")
     return label
+
+
+@lru_cache(maxsize=1024)
+def _check_labels(labels: tuple, duplicate_message: str) -> None:
+    """Distinct, well-formed labels; a tuple that passes is not checked again
+    (a failing one raises, so it is never cached)."""
+    if len(set(labels)) != len(labels):
+        raise ValueError(duplicate_message)
+    for lab in labels:
+        _check_label(lab)
 
 
 @dataclass(frozen=True)
@@ -36,10 +46,7 @@ class Graph:
 
     def __post_init__(self):
         n = len(self.labels)
-        if len(set(self.labels)) != n:
-            raise ValueError("duplicate vertex labels")
-        for lab in self.labels:
-            _check_label(lab)
+        _check_labels(tuple(self.labels), "duplicate vertex labels")
         if len(self.adj) != n:
             raise ValueError("adjacency size mismatch")
         full = (1 << n) - 1
@@ -188,10 +195,7 @@ class Word:
     letters: tuple[int, ...]
 
     def __post_init__(self):
-        if len(set(self.alphabet)) != len(self.alphabet):
-            raise ValueError("duplicate alphabet labels")
-        for lab in self.alphabet:
-            _check_label(lab)
+        _check_labels(tuple(self.alphabet), "duplicate alphabet labels")
         for a in self.letters:
             if not 0 <= a < len(self.alphabet):
                 raise ValueError(f"letter index {a} out of range")
@@ -346,17 +350,28 @@ def path_graph(labels: Sequence[str]) -> Graph:
     return Graph.from_edges(labels, list(zip(labels, labels[1:])))
 
 
+def _components(adj: Sequence[int], keep: int) -> list[int]:
+    """Vertex masks of the connected components that the vertices of the mask
+    ``keep`` induce in the graph with adjacency masks ``adj``, by breadth-first
+    search from each lowest unreached vertex."""
+    out = []
+    while keep:
+        seen = frontier = keep & -keep
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = adj[low.bit_length() - 1] & keep & ~seen
+            seen |= new
+            frontier |= new
+        out.append(seen)
+        keep ^= seen
+    return out
+
+
 def _induces_connected(adj: Sequence[int], keep: int) -> bool:
     """Whether the vertices of the mask ``keep`` induce a connected subgraph
     of the graph with adjacency masks ``adj`` (an empty mask does)."""
-    seen = frontier = keep & -keep
-    while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        new = adj[low.bit_length() - 1] & keep & ~seen
-        seen |= new
-        frontier |= new
-    return seen == keep
+    return len(_components(adj, keep)) <= 1
 
 
 def iter_mask(mask: int) -> Iterator[int]:

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .core import Graph, Word, _induces_connected, _refined_classes, canonical_form, iter_mask
+from .core import (
+    Graph, Word, _components, _induces_connected, _refined_classes, canonical_form, iter_mask,
+)
 from .orient import _Budget, search_semi_transitive
 from .verify import verify_k11
 
@@ -144,17 +147,25 @@ def find_k11_representant(
 # -- non-isomorphic enumeration ----------------------------------------
 
 
+@lru_cache(maxsize=16)
+def _bit_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """``pairs[b]``: the vertex pair (i, j), i < j, of bit b (counted from the
+    least significant) in an n-vertex upper-triangle bitstring."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return tuple(reversed(pairs))
+
+
 def _canonical_masks(n: int, bits: int) -> list[int]:
     """Adjacency masks of the graph on n vertices whose packed upper-triangle
     bitstring (pair (0, 1) most significant) is ``bits``."""
     adj = [0] * n
-    p = n * (n - 1) // 2
-    for i in range(n):
-        for j in range(i + 1, n):
-            p -= 1
-            if bits >> p & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    pairs = _bit_pairs(n)
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        i, j = pairs[low.bit_length() - 1]
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
     return adj
 
 
@@ -217,17 +228,65 @@ def _automorphisms(G: Graph) -> list[tuple[int, ...]]:
     return out
 
 
-def _grows_from_last(adj: Sequence[int], connected: bool) -> bool:
-    """Whether the last vertex of the graph with adjacency masks ``adj`` has
-    minimum degree (if ``connected``: among the vertices that are not cut
-    vertices of this connected graph)."""
-    last = len(adj) - 1
-    d = adj[last].bit_count()
-    lighter = [v for v in range(last) if adj[v].bit_count() < d]
-    if not connected:
-        return not lighter
-    every = (2 << last) - 1
-    return not any(_induces_connected(adj, every & ~(1 << v)) for v in lighter)
+def _deletion_rule(adj: Sequence[int], connected: bool) -> Callable[[int], bool]:
+    """The canonical-deletion test for the one-vertex extensions of the
+    graph H with adjacency masks ``adj``: ``keeps(nbh)`` tells whether the
+    new vertex, joined to the vertices of the mask ``nbh``, minimises
+    (degree, -sum of its neighbours' degrees) among the child's vertices (if
+    ``connected``: among the child's non-cut vertices).
+
+    The tables are built once per H.  With d = nbh.bit_count(), a vertex w
+    of H has degree deg(w) + [w in nbh] in the child, so it is lighter than
+    the new vertex when ``below[d - 1] | equal[d - 1] & ~nbh`` holds it, and
+    ties when ``equal[d - 1] & nbh | equal[d] & ~nbh`` does.  Its neighbour-
+    degree sum in the child is its sum in H, plus one for each neighbour in
+    nbh, plus d if it is in nbh.  It is not a cut vertex of the child
+    exactly when nbh meets every component of H - w (then nbh - w is not
+    empty, unless H is w alone).
+    """
+    m = len(adj)
+    deg = [a.bit_count() for a in adj]
+    sums = [sum(deg[u] for u in iter_mask(a)) for a in adj]
+    equal = [0] * (m + 1)
+    for w, k in enumerate(deg):
+        equal[k] |= 1 << w
+    below = [0] * (m + 1)
+    for k in range(1, m + 1):
+        below[k] = below[k - 1] | equal[k - 1]
+    every = (1 << m) - 1
+    parts = [_components(adj, every ^ 1 << w) for w in range(m)] if connected else None
+
+    def keeps(nbh: int) -> bool:
+        d = nbh.bit_count()
+        if not d:
+            return True  # only isolated vertices tie with it, all at sum 0
+        beats = below[d - 1] | equal[d - 1] & ~nbh
+        if beats and not connected:
+            return False
+        tied = equal[d - 1] & nbh | equal[d] & ~nbh
+        if tied:
+            total = d
+            rest = nbh
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                total += deg[low.bit_length() - 1]
+            while tied:
+                low = tied & -tied
+                tied ^= low
+                w = low.bit_length() - 1
+                if sums[w] + (adj[w] & nbh).bit_count() + (d if nbh & low else 0) > total:
+                    beats |= low
+        if not connected:
+            return not beats
+        while beats:
+            low = beats & -beats
+            beats ^= low
+            if all(nbh & part for part in parts[low.bit_length() - 1]):
+                return False
+        return True
+
+    return keeps
 
 
 def _canonical_bits_upto(n: int, connected: bool) -> list[int]:
@@ -241,16 +300,21 @@ def _canonical_bits_upto(n: int, connected: bool) -> list[int]:
     each orbit is canonicalized.
 
     Canonical deletion: an extension is kept only if its new vertex is one
-    the child could have been grown from, that is, of minimum degree in the
-    child (in the connected family: of minimum degree among the child's
-    non-cut vertices; the new vertex is never a cut vertex, as its parent is
+    the child could have been grown from, that is, one that minimises the
+    isomorphism invariant (degree, -sum of neighbour degrees) among the
+    child's vertices (in the connected family: among the child's non-cut
+    vertices; the new vertex is never a cut vertex, as its parent is
     connected).  Every class still appears.  Take a vertex v of a graph G
     that meets the rule: G - v is in the parent family (connected when v is
     not a cut vertex), so some parent H has an extension isomorphic to G
-    with v as its new vertex, and it passes the filter, as degrees and cut
-    vertices are invariant.  Orbit pruning keeps this: an automorphism of H
-    extends to an isomorphism of the children that fixes the new vertex, so
-    the filter passes or fails a whole orbit at once.
+    with v as its new vertex, and it passes the filter, as degrees,
+    neighbour-degree sums and cut vertices are invariant.  Orbit pruning
+    keeps this: an automorphism of H extends to an isomorphism of the
+    children that fixes the new vertex, so the filter passes or fails a
+    whole orbit at once.  ``_deletion_rule`` decides the filter for each
+    mask from degree, neighbour-degree-sum and component tables built once
+    per parent, so only a child that passes gets a mask list, a ``Graph``
+    and a canonical form.
 
     When the full family on n is already built, the connected one is read
     off it instead.
@@ -269,16 +333,15 @@ def _canonical_bits_upto(n: int, connected: bool) -> list[int]:
         for bits in _canonical_bits_upto(n - 1, connected):
             base = graph_from_canonical_bits(n - 1, bits)
             autos = _automorphisms(base)
+            keeps = _deletion_rule(base.adj, connected)
             seen = set()
             # ascending order: the first mask met in an orbit is its smallest
             for nbh in range(1 if connected else 0, 1 << (n - 1)):
-                if nbh in seen:
-                    continue
-                child = [m | (nbh >> v & 1) << (n - 1) for v, m in enumerate(base.adj)]
-                child.append(nbh)
-                if not _grows_from_last(child, connected):
+                if nbh in seen or not keeps(nbh):
                     continue
                 seen.update(_image_mask(p, nbh) for p in autos)
+                child = [m | (nbh >> v & 1) << (n - 1) for v, m in enumerate(base.adj)]
+                child.append(nbh)
                 forms_set.add(canonical_form(Graph(labels, tuple(child)))[1])
         forms = sorted(forms_set)
     _enum_cache[key] = forms

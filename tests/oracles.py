@@ -13,7 +13,6 @@ from typing import Optional
 from wordrep import _kernels_py
 from wordrep.core import Graph, Word, canonical_form, iter_mask
 from wordrep.orient import Orientation, _Budget, _edge_order
-from wordrep.search import graph_from_canonical_bits
 from wordrep.verify import verify_k11
 
 
@@ -387,6 +386,42 @@ def brute_force_automorphisms(G: Graph) -> list[tuple[int, ...]]:
     ]
 
 
+def slow_graph_from_bits(n: int, bits: int) -> Graph:
+    """The graph on labels 1..n whose upper-triangle bitstring, pairs in
+    lexicographic order with (0, 1) most significant, is ``bits``."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    top = len(pairs) - 1
+    edges = [pair for k, pair in enumerate(pairs) if bits >> (top - k) & 1]
+    return Graph.from_index_edges(tuple(str(i + 1) for i in range(n)), edges)
+
+
+def slow_is_canonical_deletion(adj, connected: bool) -> bool:
+    """Whether the last vertex of the graph with adjacency masks ``adj``
+    minimises (degree, -sum of its neighbours' degrees) among all vertices
+    (if ``connected``: among those whose removal leaves the graph
+    connected).  Everything is recomputed on this graph alone, cut vertices
+    by a breadth-first search of the graph without the vertex."""
+    n = len(adj)
+    nbrs = [[u for u in range(n) if adj[v] >> u & 1] for v in range(n)]
+    deg = [len(nb) for nb in nbrs]
+    key = [(deg[v], -sum(deg[u] for u in nbrs[v])) for v in range(n)]
+
+    def connected_without(v: int) -> bool:
+        rest = [u for u in range(n) if u != v]
+        reached = set(rest[:1])
+        frontier = list(reached)
+        while frontier:
+            u = frontier.pop()
+            for x in nbrs[u]:
+                if x != v and x not in reached:
+                    reached.add(x)
+                    frontier.append(x)
+        return len(reached) == len(rest)
+
+    eligible = [v for v in range(n) if not connected or connected_without(v)]
+    return all(key[n - 1] <= key[v] for v in eligible)
+
+
 def slow_canonical_bits_upto(n: int, connected: bool) -> list[int]:
     """The enumeration's growth before the canonical-deletion filter (and
     with no cache): every orbit-smallest one-vertex extension of every
@@ -397,7 +432,7 @@ def slow_canonical_bits_upto(n: int, connected: bool) -> list[int]:
     forms_set = set()
     labels = tuple(str(i + 1) for i in range(n))
     for bits in slow_canonical_bits_upto(n - 1, connected):
-        base = graph_from_canonical_bits(n - 1, bits)
+        base = slow_graph_from_bits(n - 1, bits)
         base_pairs = base.edges()
         autos = brute_force_automorphisms(base)
         seen = set()

@@ -38,6 +38,34 @@ class TestGraph:
         with pytest.raises(ValueError, match="bad vertex label"):
             Graph.from_edges(("a", ""), [])
 
+    def test_labels_checked_after_a_good_tuple_is_cached(self):
+        # a label tuple that passed is not checked again; bad ones, and the
+        # masks of every graph, still are
+        Graph(("a", "b"), (0, 0))
+        Word(("a", "b"), (0, 1))
+        Graph(("a", "b"), (0, 0))
+        with pytest.raises(ValueError, match="duplicate vertex labels"):
+            Graph(("a", "a"), (0, 0))
+        with pytest.raises(ValueError, match="duplicate alphabet labels"):
+            Word(("a", "a"), ())
+        with pytest.raises(ValueError, match="duplicate vertex labels"):
+            Graph(("a", "a"), (0, 0))
+        for bad in (("a", "b c"), ("a", ""), ("a", 1)):
+            with pytest.raises(ValueError, match="bad vertex label"):
+                Graph(bad, (0, 0))
+            with pytest.raises(ValueError, match="bad vertex label"):
+                Word(bad, ())
+        with pytest.raises(TypeError):
+            Graph(("a", ["b"]), (0, 0))
+        with pytest.raises(ValueError, match="asymmetric"):
+            Graph(("a", "b"), (0b10, 0b00))
+        with pytest.raises(ValueError, match="self-loop"):
+            Graph(("a", "b"), (0b01, 0b00))
+        with pytest.raises(ValueError, match="out of range"):
+            Graph(("a", "b"), (0b100, 0b00))
+        with pytest.raises(ValueError, match="out of range"):
+            Word(("a", "b"), (2,))
+
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
             Graph.from_edges(("a", "b"), [("a", "a")])

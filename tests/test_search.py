@@ -7,6 +7,7 @@ from oracles import (
     brute_force_automorphisms,
     brute_force_uniform_word,
     slow_canonical_bits_upto,
+    slow_is_canonical_deletion,
     slow_search_k11_word,
     slow_search_uniform_word,
 )
@@ -214,32 +215,79 @@ class TestEnumeration:
 
     def test_canonical_form_calls_at_7(self, monkeypatch):
         # the extensions that pass the filter and the orbit pruning at n = 7
-        # (3,771 connected and 5,096 in all without the filter)
+        # (3,771 connected and 5,096 in all without the filter; 1,192 and
+        # 1,401 with the degree rule alone)
         calls = []
         monkeypatch.setattr(search, "canonical_form", lambda G: calls.append(G) or canonical_form(G))
-        for connected, expected in ((True, 1192), (False, 1401)):
+        for connected, expected in ((True, 903), (False, 1096)):
             monkeypatch.setattr(search, "_enum_cache", {})
             search._canonical_bits_upto(6, connected)
             calls.clear()
             search._canonical_bits_upto(7, connected)
             assert len(calls) == expected
+        # a census grows the connected families on 2..7 vertices (1,361
+        # calls with the degree rule alone)
+        monkeypatch.setattr(search, "_enum_cache", {})
+        calls.clear()
+        census_non_word_representable(7)
+        assert len(calls) == 1048
+
+    @staticmethod
+    def _keeps(adj, connected):
+        # the filter's decision for the child with masks adj, grown by its
+        # last vertex from the parent without it; the oracle must agree
+        last = len(adj) - 1
+        parent = [m & ~(1 << last) for m in adj[:last]]
+        keeps = search._deletion_rule(parent, connected)(adj[last])
+        assert keeps == slow_is_canonical_deletion(adj, connected)
+        return keeps
 
     def test_canonical_deletion_rule(self):
+        keeps = self._keeps
         # a path 0-2-1 grown by its middle vertex: the leaves are lighter
         # and are not cut vertices
-        assert not search._grows_from_last([0b100, 0b100, 0b011], True)
-        assert not search._grows_from_last([0b100, 0b100, 0b011], False)
+        assert not keeps([0b100, 0b100, 0b011], True)
+        assert not keeps([0b100, 0b100, 0b011], False)
         # two K4s, {0..3} and {5..8}, joined through vertex 4 (degree 2, a
         # cut vertex).  Vertex 8 (degree 3) is of minimum degree among the
         # non-cut vertices only; no connected graph on 8 or fewer vertices
         # has every vertex of minimum degree a cut vertex
         pairs = [(i, j) for k in (0, 5) for i in range(k, k + 4) for j in range(i + 1, k + 4)]
         G = Graph.from_index_edges(tuple(str(i) for i in range(9)), pairs + [(3, 4), (4, 5)])
-        assert search._grows_from_last(G.adj, True)
-        assert not search._grows_from_last(G.adj, False)
-        # every vertex of K_4 ties at degree 3: ties are allowed
+        assert keeps(G.adj, True)
+        assert not keeps(G.adj, False)
+        # every vertex of K_4 ties at degree 3 and sum 9: ties are allowed
         K4 = complete_graph(tuple("1234"))
-        assert search._grows_from_last(K4.adj, True) and search._grows_from_last(K4.adj, False)
+        assert keeps(K4.adj, True) and keeps(K4.adj, False)
+        # degree ties decided by neighbour-degree sums: the star with centre
+        # 0 and leaves 1, 2, 3, grown by a leaf 4 on leaf 1.  Vertex 4 has
+        # degree 1 and sum 2; leaves 2 and 3 have degree 1 and sum 3
+        star = [0b1110, 0b0001, 0b0001, 0b0001]
+        assert not keeps(star[:1] + [star[1] | 0b10000] + star[2:] + [0b10], True)
+        assert not keeps(star[:1] + [star[1] | 0b10000] + star[2:] + [0b10], False)
+        # grown on the centre instead, vertex 4 ties with every leaf at
+        # degree 1 and sum 4
+        assert keeps([star[0] | 0b10000] + star[1:] + [0b1], True)
+        # the path 0-1-2 grown by a leaf 3 on 0: vertex 3 (degree 1, sum 2)
+        # ties with leaf 2 (degree 1, sum 2)
+        assert keeps([0b1010, 0b0101, 0b0010, 0b0001], True)
+
+    def test_deletion_rule_matches_oracle_up_to_6(self):
+        # the parent-table filter decides every extension of every parent
+        # on at most 6 vertices as the child-level oracle does, on each
+        # parent as enumerated and relabelled
+        rng = random.Random(10)
+        for connected in (True, False):
+            for m in range(1, 7):
+                for H in enumerate_nonisomorphic(m, connected):
+                    perm = list(range(m))
+                    rng.shuffle(perm)
+                    H2 = Graph.from_index_edges(H.labels, [(perm[i], perm[j]) for i, j in H.edges()])
+                    for F in (H, H2):
+                        keeps = search._deletion_rule(F.adj, connected)
+                        for nbh in range(1 if connected else 0, 1 << m):
+                            child = [a | (nbh >> v & 1) << m for v, a in enumerate(F.adj)] + [nbh]
+                            assert keeps(nbh) == slow_is_canonical_deletion(child, connected)
 
     def test_automorphisms_match_brute_force(self):
         # each graph as enumerated, and relabelled so that its refined
