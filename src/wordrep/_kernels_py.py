@@ -222,7 +222,6 @@ def canonical_min_bits(n, adj, classes):
             m |= 1 << v
         free.append(m)
         class_at += [ci] * len(cls)
-    # read only through ``& cand``, and cand lies within v's class
     lower_twins = [0] * n
     for cls in classes:
         for v in cls:
