@@ -183,6 +183,21 @@ def add_arc(n, succ, adj, desc, anc, x, y):
     return desc, anc
 
 
+def add_transitive_arc(n, succ, adj, desc, anc, x, y):
+    """``add_arc`` for transitive orientations: None when x->y closes a cycle
+    or some a in anc[x]|x would reach a non-neighbour in desc[y]|y (the new
+    reachable pairs), else the new ``(desc, anc)``.  ``succ`` is not read."""
+    if desc[y] >> x & 1:
+        return None
+    up = anc[x] | (1 << x)
+    down = desc[y] | (1 << y)
+    for a in range(n):
+        if up >> a & 1 and down & ~adj[a]:
+            return None
+    return ([d | down if up >> i & 1 else d for i, d in enumerate(desc)],
+            [a | up if down >> i & 1 else a for i, a in enumerate(anc)])
+
+
 @lru_cache(maxsize=16)
 def _column_bits(n):
     """``col[p][a]``: the bit of pair (a, p), a < p, in an n-vertex bitstring."""

@@ -180,23 +180,16 @@ def _cmd_orient(args) -> int:
             print(" -> ".join(p))
         print(f"{len(paths)} path(s) with {args.length} arcs")
         return 0
-    G = _load_graph(args.target)
-    limit = _default_max_nodes()
-    if args.action == "search":
-        D = search_semi_transitive(G, max_nodes=limit)
-        if D is None:
-            print("none (not word-representable)")
-            return 1
-        print(fileio.print_orientation(D), end="")
-        return 0
-    if args.action == "search-transitive":
-        D = search_transitive(G, max_nodes=limit)
-        if D is None:
-            print("none (not a comparability graph)")
-            return 1
-        print(fileio.print_orientation(D), end="")
-        return 0
-    raise CliError(f"unknown orient action {args.action!r}")
+    search, refuted = {
+        "search": (search_semi_transitive, "not word-representable"),
+        "search-transitive": (search_transitive, "not a comparability graph"),
+    }[args.action]
+    D = search(_load_graph(args.target), max_nodes=_default_max_nodes())
+    if D is None:
+        print(f"none ({refuted})")
+        return 1
+    print(fileio.print_orientation(D), end="")
+    return 0
 
 
 def _cmd_construct(args) -> int:

@@ -192,108 +192,69 @@ def _edge_order(G: Graph) -> list[tuple[int, int]]:
     )
 
 
-def search_semi_transitive(G: Graph, max_nodes: Optional[int] = None) -> Optional[Orientation]:
-    """Backtracking search for a semi-transitive orientation.
+def _search(G: Graph, max_nodes: Optional[int], add_rule) -> Optional[list[int]]:
+    """The backtracking loop of both orientation searches, on its own stack
+    (no recursion, so no bound on the edge count): the successor masks of
+    the first orientation whose arcs ``add_rule`` accepts, or None.
 
-    Returns None only after exhausting the search space, which by the
-    semi-transitive characterization proves G non-word-representable.
-    Branches deterministically: for the edge {u, v} with u < v the arc
-    u->v is tried first.  On the first edge it is the only one tried:
-    reversing every arc of a semi-transitive orientation gives a
-    semi-transitive orientation (a cycle or a shortcut reversed is one
-    again), so if none has u->v, none has v->u either.  A "no" thus
-    explores one root subtree, and a "yes" is found on the same branch as
-    with both.  ``max_nodes`` bounds the number of search nodes;
-    exceeding it raises BudgetExceeded (outcome unknown).  Reachability is
-    carried down the recursion and updated per arc (``_kernels.add_arc``),
-    so each node checks only the intervals through its new arc.
+    Edges come in ``_edge_order``; on {u, v}, u < v, u->v is tried before
+    v->u, and alone on the first edge.  ``add_rule(n, succ, adj, desc, anc,
+    x, y)`` sees x->y in ``succ`` and the reachability before it, and
+    returns None to prune, else the reachability with x->y.  A node is the
+    root or an accepted arc; each ticks the budget once.
     """
     edges = _edge_order(G)
     n = G.n
     succ = [0] * n
     budget = _Budget(max_nodes)
-
-    def rec(k: int, desc: list[int], anc: list[int]) -> bool:
-        budget.tick()
-        if k == len(edges):
-            return True
-        u, v = edges[k]
-        for x, y in ((u, v), (v, u)) if k else ((u, v),):
-            succ[x] |= 1 << y
-            # None: x->y closes a directed cycle or forces a violation that
-            # no orientation of the remaining edges can repair
-            reach = _kernels.add_arc(n, succ, G.adj, desc, anc, x, y)
-            if reach is not None and rec(k + 1, *reach):
-                return True
-            succ[x] &= ~(1 << y)
-        return False
-
-    if rec(0, [0] * n, [0] * n):
-        return Orientation(G, tuple(succ))
+    budget.tick()
+    if not edges:
+        return succ
+    todo = [(0, *edges[0], [0] * n, [0] * n)]  # arcs to try, next on top: k, x, y, desc, anc
+    held = 0  # succ holds an arc on each of edges[:held]
+    while todo:
+        k, x, y, desc, anc = todo.pop()
+        for u, v in edges[k:held]:
+            succ[u] &= ~(1 << v)
+            succ[v] &= ~(1 << u)
+        succ[x] |= 1 << y
+        held = k + 1
+        reach = add_rule(n, succ, G.adj, desc, anc, x, y)
+        if reach is not None:
+            budget.tick()
+            if held == len(edges):
+                return succ
+            u, v = edges[held]
+            todo += [(held, v, u, *reach), (held, u, v, *reach)]
     return None
 
 
-def search_transitive(G: Graph, max_nodes: Optional[int] = None) -> Optional[Orientation]:
-    """Backtracking search for a transitive orientation.
+def search_semi_transitive(G: Graph, max_nodes: Optional[int] = None) -> Optional[Orientation]:
+    """Backtracking search for a semi-transitive orientation: ``_search``
+    with ``_kernels.add_arc``, which prunes an arc that closes a cycle or
+    forces a shortcut, checking only the intervals through the new arc.
 
-    Uses forcing-closure propagation: once a->b and b->c are fixed, the arc
-    a->c is forced (and a missing edge ac kills the branch).  Naive but
-    sufficient at desk scale; no modular decomposition.
+    None comes only from an exhausted search, which proves G
+    non-word-representable.  u->v alone on the first edge loses nothing: a
+    semi-transitive orientation reversed is one (a cycle or a shortcut
+    reversed is one).  Exceeding ``max_nodes`` raises BudgetExceeded.
     """
-    n = G.n
-    edges = _edge_order(G)
-    budget = _Budget(max_nodes)
+    succ = _search(G, max_nodes, _kernels.add_arc)
+    return None if succ is None else Orientation(G, tuple(succ))
 
-    def closure(succ: list[int]) -> Optional[list[int]]:
-        succ = succ[:]
-        changed = True
-        while changed:
-            changed = False
-            for a in range(n):
-                for b in iter_mask(succ[a]):
-                    need = succ[b] & ~succ[a] & ~(1 << a)
-                    if not need:
-                        continue
-                    if need & ~G.adj[a]:
-                        return None  # a->b->c with ac not an edge
-                    for c in iter_mask(need):
-                        if succ[c] >> a & 1:
-                            return None  # would conflict with c->a
-                    succ[a] |= need
-                    changed = True
-        for a in range(n):
-            if succ[a] & (1 << a):
-                return None
-            for b in iter_mask(succ[a]):
-                if succ[b] >> a & 1:
-                    return None
-        return succ
 
-    def rec(succ: list[int], k: int) -> Optional[list[int]]:
-        budget.tick()
-        while k < len(edges):
-            u, v = edges[k]
-            if (succ[u] >> v | succ[v] >> u) & 1:
-                k += 1
-                continue
-            break
-        else:
-            return succ
-        u, v = edges[k]
-        for x, y in ((u, v), (v, u)):
-            trial = succ[:]
-            trial[x] |= 1 << y
-            closed = closure(trial)
-            if closed is not None:
-                got = rec(closed, k + 1)
-                if got is not None:
-                    return got
+def search_transitive(G: Graph, max_nodes: Optional[int] = None) -> Optional[Orientation]:
+    """Backtracking search for a transitive orientation: ``_search`` with
+    ``_kernels.add_transitive_arc``, which prunes an arc that closes a cycle
+    or lets a vertex reach a non-neighbour (once a->b->c is fixed, ac must
+    be an edge oriented a->c).  A transitive orientation reversed is one,
+    so u->v alone on the first edge loses nothing.  Exceeding ``max_nodes``
+    raises BudgetExceeded.
+    """
+    succ = _search(G, max_nodes, _kernels.add_transitive_arc)
+    if succ is None:
         return None
-
-    got = rec([0] * n, 0)
-    if got is None:
-        return None
-    D = Orientation(G, tuple(got))
-    if not is_transitive(D):  # closure should guarantee this
-        raise AssertionError("forcing closure produced a non-transitive orientation")
+    D = Orientation(G, tuple(succ))
+    if not is_transitive(D):  # add_transitive_arc should guarantee this
+        raise AssertionError("search produced a non-transitive orientation")
     return D

@@ -330,9 +330,11 @@ def _canonical_bits_upto(n: int, connected: bool) -> list[int]:
     else:
         forms_set = set()
         labels = tuple(str(i + 1) for i in range(n))
+        identity = tuple(range(n - 1))
         for bits in _canonical_bits_upto(n - 1, connected):
             base = graph_from_canonical_bits(n - 1, bits)
-            autos = _automorphisms(base)
+            # the identity maps a mask onto itself, which the loop has passed
+            autos = [p for p in _automorphisms(base) if p != identity]
             keeps = _deletion_rule(base.adj, connected)
             seen = set()
             # ascending order: the first mask met in an orbit is its smallest

@@ -12,7 +12,7 @@ from typing import Optional
 
 from wordrep import _kernels_py
 from wordrep.core import Graph, Word, canonical_form, iter_mask
-from wordrep.orient import Orientation, _Budget, _edge_order
+from wordrep.orient import Orientation, _Budget, _edge_order, is_transitive
 from wordrep.verify import verify_k11
 
 
@@ -123,6 +123,13 @@ def random_word(rng, labels, extra: int) -> Word:
     return Word.from_labels(tuple(labels), seq)
 
 
+def relabelled(rng, G: Graph) -> Graph:
+    """G with its vertex indices shuffled (labels kept in place)."""
+    perm = list(range(G.n))
+    rng.shuffle(perm)
+    return Graph.from_index_edges(G.labels, [(perm[i], perm[j]) for i, j in G.edges()])
+
+
 def slow_search_semi_transitive(
     G: Graph, one_sided_root: bool = False
 ) -> tuple[Optional[tuple[int, ...]], int]:
@@ -158,6 +165,83 @@ def slow_search_semi_transitive(
         return False
 
     return (tuple(succ) if rec(0) else None), nodes
+
+
+# The transitive search that ``orient._search`` with ``add_transitive_arc``
+# replaced, verbatim apart from its name.
+
+
+def slow_search_transitive(G: Graph, max_nodes: Optional[int] = None) -> Optional[Orientation]:
+    """Backtracking search for a transitive orientation.
+
+    Uses forcing-closure propagation: once a->b and b->c are fixed, the arc
+    a->c is forced (and a missing edge ac kills the branch).  Naive but
+    sufficient at desk scale; no modular decomposition.
+    """
+    n = G.n
+    edges = _edge_order(G)
+    budget = _Budget(max_nodes)
+
+    def closure(succ: list[int]) -> Optional[list[int]]:
+        succ = succ[:]
+        changed = True
+        while changed:
+            changed = False
+            for a in range(n):
+                for b in iter_mask(succ[a]):
+                    need = succ[b] & ~succ[a] & ~(1 << a)
+                    if not need:
+                        continue
+                    if need & ~G.adj[a]:
+                        return None  # a->b->c with ac not an edge
+                    for c in iter_mask(need):
+                        if succ[c] >> a & 1:
+                            return None  # would conflict with c->a
+                    succ[a] |= need
+                    changed = True
+        for a in range(n):
+            if succ[a] & (1 << a):
+                return None
+            for b in iter_mask(succ[a]):
+                if succ[b] >> a & 1:
+                    return None
+        return succ
+
+    def rec(succ: list[int], k: int) -> Optional[list[int]]:
+        budget.tick()
+        while k < len(edges):
+            u, v = edges[k]
+            if (succ[u] >> v | succ[v] >> u) & 1:
+                k += 1
+                continue
+            break
+        else:
+            return succ
+        u, v = edges[k]
+        for x, y in ((u, v), (v, u)):
+            trial = succ[:]
+            trial[x] |= 1 << y
+            closed = closure(trial)
+            if closed is not None:
+                got = rec(closed, k + 1)
+                if got is not None:
+                    return got
+        return None
+
+    got = rec([0] * n, 0)
+    if got is None:
+        return None
+    D = Orientation(G, tuple(got))
+    if not is_transitive(D):  # closure should guarantee this
+        raise AssertionError("forcing closure produced a non-transitive orientation")
+    return D
+
+
+def exhaustive_transitive(D: Orientation) -> bool:
+    """Transitivity straight from the definition: for every two arcs u->v
+    and v->w, the arc u->w is present."""
+    arcs = set(D.arcs())
+    return all((u, w) in arcs for u, v in arcs for v2, w in arcs if v == v2)
 
 
 def slow_refined_classes(G: Graph) -> list[list[int]]:

@@ -1,10 +1,10 @@
 import pytest
 
 from wordrep.cli import main
-from wordrep.core import cycle_graph
+from wordrep.core import complete_graph, cycle_graph
 from wordrep.fileio import parse_graph, parse_orientation, print_graph
 from wordrep.graph6 import parse_graph6
-from wordrep.orient import is_semi_transitive
+from wordrep.orient import is_semi_transitive, is_transitive
 from wordrep.search import canonical_form
 
 
@@ -123,6 +123,14 @@ class TestOrient:
         p.write_text(print_graph(cycle_graph(tuple("12345"))))
         assert main(["orient", "search-transitive", str(p)]) == 1
         assert "not a comparability graph" in capsys.readouterr().out
+
+    def test_searches_on_k50_exit_0(self, capsys, tmp_path):
+        p = tmp_path / "k50.txt"
+        p.write_text(print_graph(complete_graph(tuple(f"v{i}" for i in range(50)))))
+        assert main(["orient", "search", str(p)]) == 0
+        assert is_semi_transitive(parse_orientation(capsys.readouterr().out))
+        assert main(["orient", "search-transitive", str(p)]) == 0
+        assert is_transitive(parse_orientation(capsys.readouterr().out))
 
 
 class TestConstruct:

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 import wordrep
-from oracles import slow_canonical_min_bits, slow_refined_classes
+from oracles import relabelled, slow_canonical_min_bits, slow_refined_classes
 from wordrep import _kernels, _kernels_py, search
 from wordrep.core import Graph, _refined_classes, complete_graph, cycle_graph, empty_graph
 
@@ -219,12 +219,6 @@ def _complete_bipartite(a, b):
     return Graph.from_index_edges(_labels(a + b), [(i, j) for i in range(a) for j in range(a, a + b)])
 
 
-def _relabelled(rng, G):
-    perm = list(range(G.n))
-    rng.shuffle(perm)
-    return Graph.from_index_edges(G.labels, [(perm[i], perm[j]) for i, j in G.edges()])
-
-
 def _assert_canonical_kernels_match_oracles(G):
     classes = _refined_classes(G)
     assert classes == slow_refined_classes(G)
@@ -238,7 +232,7 @@ def test_canonical_kernels_match_oracles_up_to_7():
     for n in range(1, 8):
         for G in search.enumerate_nonisomorphic(n):
             _assert_canonical_kernels_match_oracles(G)
-            _assert_canonical_kernels_match_oracles(_relabelled(rng, G))
+            _assert_canonical_kernels_match_oracles(relabelled(rng, G))
 
 
 def test_canonical_kernels_match_oracles_8_to_10():
@@ -279,14 +273,14 @@ def test_canonical_kernels_match_oracles_on_twins():
     rng = random.Random(79)
     for G in _twin_graphs():
         _assert_canonical_kernels_match_oracles(G)
-        _assert_canonical_kernels_match_oracles(_relabelled(rng, G))
+        _assert_canonical_kernels_match_oracles(relabelled(rng, G))
 
 
 def test_compiled_canonical_min_bits_on_twins(ext):
     # the compiled kernel skips twins by the pure kernel's rule
     rng = random.Random(83)
     for G in _twin_graphs():
-        for H in (G, _relabelled(rng, G)):
+        for H in (G, relabelled(rng, G)):
             classes = _refined_classes(H)
             assert ext.canonical_min_bits(H.n, list(H.adj), classes) == slow_canonical_min_bits(
                 H.n, H.adj, classes
@@ -340,10 +334,23 @@ def _reference_add_arc(n, succ, adj):
     return desc, anc
 
 
-def _arc_insertions(rng, trials):
+def _reference_add_transitive_arc(n, succ, adj):
+    """What add_transitive_arc must return: reachability recomputed from
+    scratch, None on a cycle or on a vertex reaching a non-neighbour."""
+    try:
+        desc = _kernels_py.descendants(n, succ)
+    except ValueError:
+        return None
+    if any(desc[i] & ~adj[i] for i in range(n)):
+        return None
+    anc = [sum(1 << i for i in range(n) if desc[i] >> j & 1) for j in range(n)]
+    return desc, anc
+
+
+def _arc_insertions(rng, trials, reference=_reference_add_arc):
     """(n, adj, succ after the arc, desc, anc before it, x, y) along random
     insertion sequences; a rejected arc is taken back, so every state the
-    sequence continues from has no forced violation."""
+    sequence continues from is one ``reference`` accepts."""
     for _ in range(trials):
         n = rng.randrange(5, 13)
         G = _random_graph(rng, n)
@@ -355,7 +362,7 @@ def _arc_insertions(rng, trials):
             x, y = (u, v) if rng.random() < 0.5 else (v, u)
             succ[x] |= 1 << y
             yield n, G.adj, list(succ), desc, anc, x, y
-            reach = _reference_add_arc(n, succ, G.adj)
+            reach = reference(n, succ, G.adj)
             if reach is None:
                 succ[x] &= ~(1 << y)
             else:
@@ -372,4 +379,17 @@ def test_add_arc_matches_full_recompute():
         else:
             accepted += 1
     # both outcomes are exercised, not only the easy one
+    assert rejected > 100 and accepted > 1000
+
+
+def test_add_transitive_arc_matches_full_recompute():
+    rejected = accepted = 0
+    insertions = _arc_insertions(random.Random(53), 200, _reference_add_transitive_arc)
+    for n, adj, succ, desc, anc, x, y in insertions:
+        want = _reference_add_transitive_arc(n, succ, adj)
+        assert _kernels_py.add_transitive_arc(n, succ, adj, desc, anc, x, y) == want
+        if want is None:
+            rejected += 1
+        else:
+            accepted += 1
     assert rejected > 100 and accepted > 1000

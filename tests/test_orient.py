@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from oracles import all_orientations, exhaustive_semi_transitive, slow_search_semi_transitive
+from oracles import (
+    all_orientations,
+    exhaustive_semi_transitive,
+    exhaustive_transitive,
+    relabelled,
+    slow_search_semi_transitive,
+    slow_search_transitive,
+)
 from wordrep import catalog
 from wordrep.core import Graph, complete_graph, cycle_graph, path_graph
 from wordrep.orient import (
@@ -268,3 +275,83 @@ class TestNodeCounts:
         assert search_semi_transitive(G, max_nodes=nodes) is None
         with pytest.raises(BudgetExceeded):
             search_semi_transitive(G, max_nodes=nodes - 1)
+
+
+class TestNodeCountsTransitive:
+    """The transitive search's node counts, exact in the same way: a node is
+    the root or an accepted arc, and a "no" explores only the u->v subtree
+    of the first edge."""
+
+    @pytest.mark.parametrize("G, nodes, found", [
+        pytest.param(cycle_graph(tuple("12345")), 5, False, id="C5"),
+        pytest.param(cycle_graph(tuple("1234567")), 7, False, id="C7"),
+        pytest.param(catalog.get("chvatal").graph, 13, False, id="chvatal"),
+        pytest.param(catalog.get("mycielski-c:5").graph, 14, False, id="mycielski-c:5"),
+        pytest.param(cycle_graph(tuple("123456")), 7, True, id="C6"),
+        pytest.param(complete_graph(tuple("12345")), 11, True, id="K5"),
+        pytest.param(catalog.get("bw3").graph, 10, True, id="bw3"),
+    ])
+    def test_counts(self, G, nodes, found):
+        assert (search_transitive(G, max_nodes=nodes) is not None) == found
+        with pytest.raises(BudgetExceeded):
+            search_transitive(G, max_nodes=nodes - 1)
+
+
+def _planted_and_random_9_to_13():
+    """(planted, G): comparability graphs of random partial orders (every
+    pair a reaches under random low-to-high arcs on a shuffled order), and
+    random graphs."""
+    rng = random.Random(83)
+    for t in range(30):
+        n = rng.randrange(9, 14)
+        if t % 2:
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+        else:
+            reach = [0] * n
+            for i in reversed(range(n)):
+                for j in range(i + 1, n):
+                    if rng.random() < 0.25:
+                        reach[i] |= 1 << j | reach[j]
+            p = list(range(n))
+            rng.shuffle(p)
+            pairs = [(p[i], p[j]) for i in range(n) for j in range(n) if reach[i] >> j & 1]
+        yield t % 2 == 0, Graph.from_index_edges(tuple(str(i) for i in range(n)), pairs)
+
+
+class TestTransitiveSearch:
+    """The transitive search against the forcing-closure search it replaced
+    and against brute force."""
+
+    @staticmethod
+    def _assert_same_as_closure_search(G):
+        D = search_transitive(G)
+        want = slow_search_transitive(G)
+        assert (None if D is None else D.succ) == (None if want is None else want.succ)
+
+    def test_every_graph_up_to_7_and_a_relabelling(self):
+        rng = random.Random(17)
+        for n in range(1, 8):
+            for G in enumerate_nonisomorphic(n):
+                self._assert_same_as_closure_search(G)
+                self._assert_same_as_closure_search(relabelled(rng, G))
+
+    def test_planted_posets_and_random_graphs_9_to_13(self):
+        for planted, G in _planted_and_random_9_to_13():
+            self._assert_same_as_closure_search(G)
+            assert search_transitive(G) is not None or not planted
+
+    def test_existence_matches_brute_force_up_to_5(self):
+        for n in range(1, 6):
+            for G in enumerate_nonisomorphic(n):
+                expected = any(exhaustive_transitive(D) for D in all_orientations(G))
+                D = search_transitive(G)
+                assert (D is not None) == expected
+                assert D is None or exhaustive_transitive(D)
+
+
+@pytest.mark.parametrize("n", [50, 64])
+def test_both_searches_orient_large_cliques(n):
+    # one search node per edge: 1,225 and 2,016 deep, past the recursion limit
+    G = complete_graph(tuple(str(i) for i in range(n)))
+    assert is_semi_transitive(search_semi_transitive(G))
+    assert is_transitive(search_transitive(G))
