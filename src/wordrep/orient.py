@@ -11,7 +11,7 @@ survives in the tests as an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from . import _kernels
 from .core import Graph, iter_mask
@@ -192,7 +192,7 @@ def _edge_order(G: Graph) -> list[tuple[int, int]]:
     )
 
 
-def _search(G: Graph, max_nodes: Optional[int], add_rule) -> Optional[list[int]]:
+def _search(G: Graph, max_nodes: Optional[int], add_rule, start=None) -> Optional[list[int]]:
     """The backtracking loop of both orientation searches, on its own stack
     (no recursion, so no bound on the edge count): the successor masks of
     the first orientation whose arcs ``add_rule`` accepts, or None.
@@ -202,15 +202,27 @@ def _search(G: Graph, max_nodes: Optional[int], add_rule) -> Optional[list[int]]
     x, y)`` sees x->y in ``succ`` and the reachability before it, and
     returns None to prune, else the reachability with x->y.  A node is the
     root or an accepted arc; each ticks the budget once.
+
+    ``start = (succ, desc, anc, edges)`` extends an orientation instead: the
+    successor masks and reachability of arcs on every edge but ``edges``,
+    which are oriented in their order.  Those arcs may break the reversal
+    symmetry, so both directions are tried on the first of them.  The root,
+    the orientation given, is no node of this search.
     """
-    edges = _edge_order(G)
     n = G.n
-    succ = [0] * n
     budget = _Budget(max_nodes)
-    budget.tick()
+    if start is None:
+        succ, desc, anc, edges = [0] * n, [0] * n, [0] * n, _edge_order(G)
+        budget.tick()
+    else:
+        succ, desc, anc, edges = start
+        succ = list(succ)
     if not edges:
         return succ
-    todo = [(0, *edges[0], [0] * n, [0] * n)]  # arcs to try, next on top: k, x, y, desc, anc
+    u, v = edges[0]
+    todo = [(0, u, v, desc, anc)]  # arcs to try, next on top: k, x, y, desc, anc
+    if start is not None:
+        todo.insert(0, (0, v, u, desc, anc))
     held = 0  # succ holds an arc on each of edges[:held]
     while todo:
         k, x, y, desc, anc = todo.pop()
@@ -227,6 +239,16 @@ def _search(G: Graph, max_nodes: Optional[int], add_rule) -> Optional[list[int]]
             u, v = edges[held]
             todo += [(held, v, u, *reach), (held, u, v, *reach)]
     return None
+
+
+def _reachability(succ: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Strict descendant and ancestor masks of an acyclic orientation."""
+    desc = _kernels.descendants(len(succ), succ)
+    anc = [0] * len(succ)
+    for a, mask in enumerate(desc):
+        for b in iter_mask(mask):
+            anc[b] |= 1 << a
+    return desc, anc
 
 
 def search_semi_transitive(G: Graph, max_nodes: Optional[int] = None) -> Optional[Orientation]:

@@ -9,14 +9,16 @@ BudgetExceeded and never conflated with "nonexistent".
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .core import (
     Graph, Word, _components, _induces_connected, _refined_classes, canonical_form, iter_mask,
 )
-from .orient import _Budget, search_semi_transitive
+from . import _kernels
+from .orient import Orientation, _Budget, _reachability, _search, search_semi_transitive
 from .verify import verify_k11
 
 
@@ -328,26 +330,33 @@ def _canonical_bits_upto(n: int, connected: bool) -> list[int]:
     elif n == 1:
         forms = [0]
     else:
-        forms_set = set()
-        labels = tuple(str(i + 1) for i in range(n))
-        identity = tuple(range(n - 1))
-        for bits in _canonical_bits_upto(n - 1, connected):
-            base = graph_from_canonical_bits(n - 1, bits)
-            # the identity maps a mask onto itself, which the loop has passed
-            autos = [p for p in _automorphisms(base) if p != identity]
-            keeps = _deletion_rule(base.adj, connected)
-            seen = set()
-            # ascending order: the first mask met in an orbit is its smallest
-            for nbh in range(1 if connected else 0, 1 << (n - 1)):
-                if nbh in seen or not keeps(nbh):
-                    continue
-                seen.update(_image_mask(p, nbh) for p in autos)
-                child = [m | (nbh >> v & 1) << (n - 1) for v, m in enumerate(base.adj)]
-                child.append(nbh)
-                forms_set.add(canonical_form(Graph(labels, tuple(child)))[1])
-        forms = sorted(forms_set)
+        forms = sorted({form for bits in _canonical_bits_upto(n - 1, connected)
+                        for _nbh, _child, form in _children(n, bits, connected)})
     _enum_cache[key] = forms
     return forms
+
+
+def _children(n: int, bits: int, connected: bool) -> Iterator[tuple[int, Graph, int]]:
+    """``(nbh, child, form)`` for each extension of the parent with canonical
+    bits ``bits`` on n - 1 vertices that ``_canonical_bits_upto`` keeps: the
+    new vertex n - 1 joined to the mask ``nbh``, the child in the parent's
+    labelling, and the child's canonical bits."""
+    base = graph_from_canonical_bits(n - 1, bits)
+    labels = tuple(str(i + 1) for i in range(n))
+    identity = tuple(range(n - 1))
+    # the identity maps a mask onto itself, which the loop has passed
+    autos = [p for p in _automorphisms(base) if p != identity]
+    keeps = _deletion_rule(base.adj, connected)
+    seen = set()
+    # ascending order: the first mask met in an orbit is its smallest
+    for nbh in range(1 if connected else 0, 1 << (n - 1)):
+        if nbh in seen or not keeps(nbh):
+            continue
+        seen.update(_image_mask(p, nbh) for p in autos)
+        child = [m | (nbh >> v & 1) << (n - 1) for v, m in enumerate(base.adj)]
+        child.append(nbh)
+        G = Graph(labels, tuple(child))
+        yield nbh, G, canonical_form(G)[1]
 
 
 def enumerate_nonisomorphic(n: int, connected_only: bool = False) -> Iterator[Graph]:
@@ -368,34 +377,102 @@ class CensusResult:
     non_word_representable: tuple[Graph, ...]
 
 
-def _census(n: int, graphs: Iterable[Graph], jobs: int) -> CensusResult:
-    """Decide each canonical representative, in canonical order.
+def _full_orientation(n: int, bits: int) -> Optional[tuple[int, ...]]:
+    """The successor masks that ``search_semi_transitive`` finds for the
+    graph with canonical bits ``bits`` on n vertices, or None."""
+    D = search_semi_transitive(graph_from_canonical_bits(n, bits))
+    return None if D is None else D.succ
 
-    ``graphs`` are distinct canonical representatives sorted by canonical
-    form, so the result is identical across worker counts.
-    """
+
+def _full_orientations(n: int, forms: list[int], pool) -> list[Optional[tuple[int, ...]]]:
+    """``_full_orientation`` of each form, in order, in ``pool`` if any."""
+    if pool is None:
+        return [_full_orientation(n, bits) for bits in forms]
+    return list(pool.map(_full_orientation, [n] * len(forms), forms, chunksize=16))
+
+
+def _pool(jobs: int):
+    """A pool of ``jobs`` worker processes, or, for one job, no pool (None)."""
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    graphs = list(graphs)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            verdicts = list(pool.map(is_word_representable, graphs, chunksize=16))
-    else:
-        verdicts = list(map(is_word_representable, graphs))
-    bad = tuple(G for G, ok in zip(graphs, verdicts) if not ok)
-    return CensusResult(n=n, examined=len(graphs), non_word_representable=bad)
+    return ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext()
+
+
+def _census_result(n: int, verdicts: dict[int, bool]) -> CensusResult:
+    """The census of the canonical forms in ``verdicts`` (form: is it word-
+    representable?), sorted by canonical form, so that the result is
+    identical across worker counts."""
+    bad = tuple(graph_from_canonical_bits(n, bits) for bits in sorted(verdicts) if not verdicts[bits])
+    return CensusResult(n=n, examined=len(verdicts), non_word_representable=bad)
+
+
+def _census(n: int, forms: list[int], jobs: int) -> CensusResult:
+    """Decide each canonical form by a full search."""
+    with _pool(jobs) as pool:
+        found = _full_orientations(n, forms, pool)
+    return _census_result(n, {bits: succ is not None for bits, succ in zip(forms, found)})
+
+
+def _grown_verdicts(n: int, jobs: int) -> dict[int, tuple[bool, Optional[int]]]:
+    """Decide the connected graphs on n >= 2 vertices while growing them from
+    those on n - 1: ``{form: (word-representable?, parent)}``.
+
+    Each parent gets one full search.  A child, in its parent's labelling,
+    is decided when its form is first met:
+
+    - grown from a refuted parent, it is not word-representable, as the
+      parent is an induced subgraph (word-representability is hereditary):
+      ``(False, parent)``;
+    - else the new vertex's edges are oriented by ``add_arc`` on top of the
+      parent's orientation; success is a semi-transitive orientation:
+      ``(True, parent)``;
+    - else the form is left open, and tried again where it is met next.
+
+    The forms still open are decided by a full search each: ``(verdict,
+    None)``.  A failed extension never counts as a "no".  The parents and
+    the open forms are searched in the pool, so the verdicts, which follow
+    the parents' canonical order, do not depend on ``jobs``.  Level n's
+    sorted forms go into ``_enum_cache``.
+    """
+    parents = _canonical_bits_upto(n - 1, True)
+    verdicts = {}
+    forms = set()
+    with _pool(jobs) as pool:
+        for bits, found in zip(parents, _full_orientations(n - 1, parents, pool)):
+            if found is not None:
+                desc, anc = _reachability(found)
+                start = (*found, 0), desc + [0], anc + [0]
+            for nbh, child, form in _children(n, bits, True):
+                forms.add(form)
+                if form in verdicts:
+                    continue
+                if found is None:
+                    verdicts[form] = (False, bits)
+                    continue
+                edges = [(v, n - 1) for v in iter_mask(nbh)]
+                succ = _search(child, None, _kernels.add_arc, (*start, edges))
+                if succ is not None:
+                    Orientation(child, tuple(succ))  # the check a search's result gets
+                    verdicts[form] = (True, bits)
+        still_open = sorted(forms.difference(verdicts))
+        for bits, found in zip(still_open, _full_orientations(n, still_open, pool)):
+            verdicts[bits] = (found is not None, None)
+    _enum_cache[n, True] = sorted(forms)
+    return verdicts
 
 
 def census_non_word_representable(n: int, jobs: int = 1) -> CensusResult:
-    """Classify all connected graphs on n vertices by word-representability.
+    """Classify all connected graphs on n vertices by word-representability,
+    deciding them as they are grown (``_grown_verdicts``).
 
     Results are sorted by canonical form, so output is identical across
     worker counts.
     """
-    if not 1 <= n <= 7:
-        raise ValueError("census supports 1 <= n <= 7")
-    # the generator yields graph_from_canonical_bits graphs in canonical order
-    return _census(n, enumerate_nonisomorphic(n, connected_only=True), jobs)
+    if not 1 <= n <= _BUILTIN_LIMIT:
+        raise ValueError(f"census supports 1 <= n <= {_BUILTIN_LIMIT}")
+    if n == 1:
+        return _census(1, [0], jobs)
+    return _census_result(n, {form: ok for form, (ok, _parent) in _grown_verdicts(n, jobs).items()})
 
 
 def census_from_graph6(lines, jobs: int = 1) -> CensusResult:
@@ -414,7 +491,7 @@ def census_from_graph6(lines, jobs: int = 1) -> CensusResult:
     if len(n_seen) > 1:
         raise ValueError("graph6 stream mixes vertex counts")
     n = next(iter(n_seen)) if n_seen else 0
-    return _census(n, (graph_from_canonical_bits(n, bits) for _, bits in sorted(forms)), jobs)
+    return _census(n, sorted(bits for _, bits in forms), jobs)
 
 
 # -- chromatic number --------------------------------------------------

@@ -272,11 +272,11 @@ class TestCensus:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "examined" not in captured.out
 
-    @pytest.mark.parametrize("n", ["-1", "0", "8"])
+    @pytest.mark.parametrize("n", ["-1", "0", "9"])
     def test_n_out_of_range_exit_2(self, capsys, n):
         assert main(["census", n]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error:") and "1 <= n <= 7" in captured.err
+        assert captured.err.startswith("error:") and "1 <= n <= 8" in captured.err
         assert "examined" not in captured.out
 
     def test_jobs_zero_exit_2(self, capsys):
