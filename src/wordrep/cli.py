@@ -280,22 +280,26 @@ def _cmd_census(args) -> int:
                 lines = Path(args.graph6).read_text().splitlines()
             except OSError as exc:
                 raise CliError(f"cannot read {args.graph6!r}: {exc.strerror}")
-        result = census_from_graph6(lines, jobs=args.jobs)
-    else:
-        result = census_non_word_representable(args.n, jobs=args.jobs)
-    print(f"n={result.n}: examined {result.examined} graphs, "
-          f"{len(result.non_word_representable)} non-word-representable")
+    out = None
     if args.emit_graph6:
+        # opened before the census, so that a bad path fails at once
         try:
             out = sys.stdout if args.emit_graph6 == "-" else open(args.emit_graph6, "w")
         except OSError as exc:
             raise CliError(f"cannot write {args.emit_graph6!r}: {exc.strerror}")
-        try:
+    try:
+        if args.graph6 is not None:
+            result = census_from_graph6(lines, jobs=args.jobs)
+        else:
+            result = census_non_word_representable(args.n, jobs=args.jobs)
+        print(f"n={result.n}: examined {result.examined} graphs, "
+              f"{len(result.non_word_representable)} non-word-representable")
+        if out is not None:
             for G in result.non_word_representable:
                 print(write_graph6(G), file=out)
-        finally:
-            if out is not sys.stdout:
-                out.close()
+    finally:
+        if out not in (None, sys.stdout):
+            out.close()
     return 0
 
 

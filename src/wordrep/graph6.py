@@ -32,15 +32,18 @@ def _decode_n(s: str) -> tuple[int, int]:
         if not 0 <= n <= 62:
             raise ValueError(f"invalid graph6 size byte {s[0]!r}")
         return n, 1
-    if len(s) >= 4 and s[1] != "~":
-        n = 0
-        for c in s[1:4]:
-            v = ord(c) - 63
-            if not 0 <= v < 64:
-                raise ValueError(f"invalid graph6 size byte {c!r}")
-            n = n << 6 | v
-        return n, 4
-    raise ValueError("graph6 reader supports n <= 258047")
+    if s[1:2] == "~":
+        # '~~' starts the 36-bit form, for n > 258047
+        raise ValueError("graph6 reader supports n <= 258047")
+    if len(s) < 4:
+        raise ValueError("truncated graph6 size: '~' needs three size bytes")
+    n = 0
+    for c in s[1:4]:
+        v = ord(c) - 63
+        if not 0 <= v < 64:
+            raise ValueError(f"invalid graph6 size byte {c!r}")
+        n = n << 6 | v
+    return n, 4
 
 
 def write_graph6(G: Graph) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -230,19 +230,27 @@ def _automorphisms(G: Graph) -> list[tuple[int, ...]]:
     return out
 
 
-def _deletion_rule(adj: Sequence[int], connected: bool) -> Callable[[int], bool]:
+# what ``_deletion_rule``'s ``keeps`` returns: drop the extension, keep it
+# while another vertex ties with the new one, or keep it as the only minimiser
+_DROP, _TIED, _SOLE = 0, 1, 2
+
+
+def _deletion_rule(adj: Sequence[int], connected: bool) -> Callable[[int], int]:
     """The canonical-deletion test for the one-vertex extensions of the
     graph H with adjacency masks ``adj``: ``keeps(nbh)`` tells whether the
     new vertex, joined to the vertices of the mask ``nbh``, minimises
     (degree, -sum of its neighbours' degrees) among the child's vertices (if
-    ``connected``: among the child's non-cut vertices).
+    ``connected``: among the child's non-cut vertices).  It returns
+    ``_DROP`` if it does not, ``_SOLE`` if it is the only such minimiser and
+    ``_TIED`` if another vertex ties with it; both keeps are truthy.
 
     The tables are built once per H.  With d = nbh.bit_count(), a vertex w
     of H has degree deg(w) + [w in nbh] in the child, so it is lighter than
     the new vertex when ``below[d - 1] | equal[d - 1] & ~nbh`` holds it, and
-    ties when ``equal[d - 1] & nbh | equal[d] & ~nbh`` does.  Its neighbour-
-    degree sum in the child is its sum in H, plus one for each neighbour in
-    nbh, plus d if it is in nbh.  It is not a cut vertex of the child
+    has its degree when ``equal[d - 1] & nbh | equal[d] & ~nbh`` does.  Its
+    neighbour-degree sum in the child is its sum in H, plus one for each
+    neighbour in nbh, plus d if it is in nbh: a larger sum beats the new
+    vertex, an equal one ties with it.  It is not a cut vertex of the child
     exactly when nbh meets every component of H - w (then nbh - w is not
     empty, unless H is w alone).
     """
@@ -258,35 +266,45 @@ def _deletion_rule(adj: Sequence[int], connected: bool) -> Callable[[int], bool]
     every = (1 << m) - 1
     parts = [_components(adj, every ^ 1 << w) for w in range(m)] if connected else None
 
-    def keeps(nbh: int) -> bool:
+    def keeps(nbh: int) -> int:
         d = nbh.bit_count()
         if not d:
-            return True  # only isolated vertices tie with it, all at sum 0
+            # only isolated vertices tie with it, all at sum 0
+            return _TIED if equal[0] else _SOLE
         beats = below[d - 1] | equal[d - 1] & ~nbh
         if beats and not connected:
-            return False
-        tied = equal[d - 1] & nbh | equal[d] & ~nbh
-        if tied:
+            return _DROP
+        same_degree = equal[d - 1] & nbh | equal[d] & ~nbh
+        ties = 0
+        if same_degree:
             total = d
             rest = nbh
             while rest:
                 low = rest & -rest
                 rest ^= low
                 total += deg[low.bit_length() - 1]
-            while tied:
-                low = tied & -tied
-                tied ^= low
+            while same_degree:
+                low = same_degree & -same_degree
+                same_degree ^= low
                 w = low.bit_length() - 1
-                if sums[w] + (adj[w] & nbh).bit_count() + (d if nbh & low else 0) > total:
+                s_w = sums[w] + (adj[w] & nbh).bit_count() + (d if nbh & low else 0)
+                if s_w > total:
                     beats |= low
+                elif s_w == total:
+                    ties |= low
         if not connected:
-            return not beats
+            return _DROP if beats else _TIED if ties else _SOLE
         while beats:
             low = beats & -beats
             beats ^= low
             if all(nbh & part for part in parts[low.bit_length() - 1]):
-                return False
-        return True
+                return _DROP
+        while ties:
+            low = ties & -ties
+            ties ^= low
+            if all(nbh & part for part in parts[low.bit_length() - 1]):
+                return _TIED
+        return _SOLE
 
     return keeps
 
@@ -330,17 +348,27 @@ def _canonical_bits_upto(n: int, connected: bool) -> list[int]:
     elif n == 1:
         forms = [0]
     else:
-        forms = sorted({form for bits in _canonical_bits_upto(n - 1, connected)
-                        for _nbh, _child, form in _children(n, bits, connected)})
+        forms = sorted({canonical_form(child)[1] for bits in _canonical_bits_upto(n - 1, connected)
+                        for _nbh, child, _sole in _children(n, bits, connected)})
     _enum_cache[key] = forms
     return forms
 
 
-def _children(n: int, bits: int, connected: bool) -> Iterator[tuple[int, Graph, int]]:
-    """``(nbh, child, form)`` for each extension of the parent with canonical
+def _children(n: int, bits: int, connected: bool) -> Iterator[tuple[int, Graph, bool]]:
+    """``(nbh, child, sole)`` for each extension of the parent with canonical
     bits ``bits`` on n - 1 vertices that ``_canonical_bits_upto`` keeps: the
     new vertex n - 1 joined to the mask ``nbh``, the child in the parent's
-    labelling, and the child's canonical bits."""
+    labelling, and whether the new vertex is the child's only canonical
+    deletion (``_deletion_rule`` gives ``_SOLE``).
+
+    A sole child's class is met once in the whole growth of the level, here.
+    Suppose an isomorphism phi maps another kept extension (H', nbh') onto
+    this child G.  Then phi maps the new vertex of (H', nbh') to a minimiser
+    of G (a non-cut one, in the connected family), which is unique: it is
+    G's new vertex.  So H' is isomorphic to this parent H, hence H' = H, as
+    the parents are distinct canonical forms, and phi restricted to H is an
+    automorphism taking nbh' to nbh.  Orbit pruning keeps one mask per
+    orbit, so nbh' = nbh."""
     base = graph_from_canonical_bits(n - 1, bits)
     labels = tuple(str(i + 1) for i in range(n))
     identity = tuple(range(n - 1))
@@ -350,13 +378,15 @@ def _children(n: int, bits: int, connected: bool) -> Iterator[tuple[int, Graph, 
     seen = set()
     # ascending order: the first mask met in an orbit is its smallest
     for nbh in range(1 if connected else 0, 1 << (n - 1)):
-        if nbh in seen or not keeps(nbh):
+        if nbh in seen:
+            continue
+        rule = keeps(nbh)
+        if not rule:
             continue
         seen.update(_image_mask(p, nbh) for p in autos)
         child = [m | (nbh >> v & 1) << (n - 1) for v, m in enumerate(base.adj)]
         child.append(nbh)
-        G = Graph(labels, tuple(child))
-        yield nbh, G, canonical_form(G)[1]
+        yield nbh, Graph(labels, tuple(child)), rule == _SOLE
 
 
 def enumerate_nonisomorphic(n: int, connected_only: bool = False) -> Iterator[Graph]:
@@ -413,52 +443,72 @@ def _census(n: int, forms: list[int], jobs: int) -> CensusResult:
     return _census_result(n, {bits: succ is not None for bits, succ in zip(forms, found)})
 
 
-def _grown_verdicts(n: int, jobs: int) -> dict[int, tuple[bool, Optional[int]]]:
+def _extend(child: Graph, nbh: int, start) -> Optional[Orientation]:
+    """The orientation of ``child`` that ``add_arc`` finds for the edges of
+    its new vertex, joined to the mask ``nbh``, on top of the parent's
+    orientation and reachability ``start``, checked as a search's result
+    is, or None."""
+    edges = [(v, child.n - 1) for v in iter_mask(nbh)]
+    succ = _search(child, None, _kernels.add_arc, (*start, edges))
+    return None if succ is None else Orientation(child, tuple(succ))
+
+
+def _grown_verdicts(n: int, jobs: int) -> tuple[dict[int, tuple[bool, Optional[int]]], int]:
     """Decide the connected graphs on n >= 2 vertices while growing them from
-    those on n - 1: ``{form: (word-representable?, parent)}``.
+    those on n - 1: ``({form: (word-representable?, parent)}, skipped)``,
+    where ``skipped`` counts the word-representable children decided without
+    a form.
 
     Each parent gets one full search.  A child, in its parent's labelling,
-    is decided when its form is first met:
+    is decided when it is met:
 
-    - grown from a refuted parent, it is not word-representable, as the
-      parent is an induced subgraph (word-representability is hereditary):
-      ``(False, parent)``;
-    - else the new vertex's edges are oriented by ``add_arc`` on top of the
-      parent's orientation; success is a semi-transitive orientation:
-      ``(True, parent)``;
-    - else the form is left open, and tried again where it is met next.
+    - a sole child of a word-representable parent (``_children``: no other
+      kept extension is isomorphic to it) is first extended: the new
+      vertex's edges are oriented by ``add_arc`` on top of the parent's
+      orientation.  Success is a semi-transitive orientation, counted in
+      ``skipped``, and the child needs no canonical form, as its class is met
+      nowhere else.  On failure its form is left open, without a second
+      try;
+    - every other child is decided when its form is first met.  Grown from
+      a refuted parent, it is not word-representable, as the parent is an
+      induced subgraph (word-representability is hereditary): ``(False,
+      parent)``.  Else it is extended as above: ``(True, parent)`` on
+      success; on failure the form is left open, and tried again where it
+      is met next.
 
     The forms still open are decided by a full search each: ``(verdict,
     None)``.  A failed extension never counts as a "no".  The parents and
     the open forms are searched in the pool, so the verdicts, which follow
-    the parents' canonical order, do not depend on ``jobs``.  Level n's
-    sorted forms go into ``_enum_cache``.
+    the parents' canonical order, do not depend on ``jobs``.
     """
     parents = _canonical_bits_upto(n - 1, True)
     verdicts = {}
+    skipped = 0
     forms = set()
     with _pool(jobs) as pool:
         for bits, found in zip(parents, _full_orientations(n - 1, parents, pool)):
             if found is not None:
                 desc, anc = _reachability(found)
                 start = (*found, 0), desc + [0], anc + [0]
-            for nbh, child, form in _children(n, bits, True):
+            for nbh, child, sole in _children(n, bits, True):
+                if sole and found is not None:
+                    if _extend(child, nbh, start) is not None:
+                        skipped += 1
+                    else:
+                        forms.add(canonical_form(child)[1])  # open: met nowhere else
+                    continue
+                form = canonical_form(child)[1]
                 forms.add(form)
                 if form in verdicts:
                     continue
                 if found is None:
                     verdicts[form] = (False, bits)
-                    continue
-                edges = [(v, n - 1) for v in iter_mask(nbh)]
-                succ = _search(child, None, _kernels.add_arc, (*start, edges))
-                if succ is not None:
-                    Orientation(child, tuple(succ))  # the check a search's result gets
+                elif _extend(child, nbh, start) is not None:
                     verdicts[form] = (True, bits)
         still_open = sorted(forms.difference(verdicts))
         for bits, found in zip(still_open, _full_orientations(n, still_open, pool)):
             verdicts[bits] = (found is not None, None)
-    _enum_cache[n, True] = sorted(forms)
-    return verdicts
+    return verdicts, skipped
 
 
 def census_non_word_representable(n: int, jobs: int = 1) -> CensusResult:
@@ -466,13 +516,16 @@ def census_non_word_representable(n: int, jobs: int = 1) -> CensusResult:
     deciding them as they are grown (``_grown_verdicts``).
 
     Results are sorted by canonical form, so output is identical across
-    worker counts.
+    worker counts.  The children counted without a form are all word-
+    representable, so they add to ``examined`` only.
     """
     if not 1 <= n <= _BUILTIN_LIMIT:
         raise ValueError(f"census supports 1 <= n <= {_BUILTIN_LIMIT}")
     if n == 1:
         return _census(1, [0], jobs)
-    return _census_result(n, {form: ok for form, (ok, _parent) in _grown_verdicts(n, jobs).items()})
+    verdicts, skipped = _grown_verdicts(n, jobs)
+    result = _census_result(n, {form: ok for form, (ok, _parent) in verdicts.items()})
+    return replace(result, examined=result.examined + skipped)
 
 
 def census_from_graph6(lines, jobs: int = 1) -> CensusResult:

@@ -1,5 +1,6 @@
 import pytest
 
+from wordrep import cli
 from wordrep.cli import main
 from wordrep.core import complete_graph, cycle_graph
 from wordrep.fileio import parse_graph, parse_orientation, print_graph
@@ -259,6 +260,16 @@ class TestCensus:
         target = tmp_path / "no" / "such" / "dir" / "x.g6"
         assert main(["census", "5", "--emit-graph6", str(target)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unwritable_emit_fails_before_the_census(self, capsys, tmp_path, monkeypatch):
+        # the output is opened first: a bad path costs no census
+        calls = []
+        monkeypatch.setattr(cli, "census_non_word_representable", lambda *a, **k: calls.append(a))
+        target = tmp_path / "no" / "such" / "dir" / "x.g6"
+        assert main(["census", "8", "--emit-graph6", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "examined" not in captured.out
+        assert calls == []
 
     def test_missing_graph6_stream_exit_2(self, capsys, tmp_path):
         assert main(["census", "--graph6", str(tmp_path / "missing.g6")]) == 2

@@ -84,6 +84,16 @@ class TestErrors:
         with pytest.raises(ValueError, match="invalid graph6 size byte"):
             parse_graph6(line)
 
+    @pytest.mark.parametrize("line", ["~", "~AB"], ids=["tilde-alone", "tilde-two-bytes"])
+    def test_truncated_long_size(self, line):
+        # the long form needs three size bytes after '~'
+        with pytest.raises(ValueError, match="truncated graph6 size"):
+            parse_graph6(line)
+
+    def test_36_bit_size_unsupported(self):
+        with pytest.raises(ValueError, match=r"supports n <= 258047"):
+            parse_graph6("~~")
+
     def test_nonzero_padding(self):
         # n=3 uses 3 bits; set a padding bit
         with pytest.raises(ValueError, match="padding"):

@@ -8,6 +8,7 @@ from oracles import (
     brute_force_uniform_word,
     slow_canonical_bits_upto,
     slow_is_canonical_deletion,
+    slow_is_sole_canonical_deletion,
     slow_search_k11_word,
     slow_search_uniform_word,
 )
@@ -225,57 +226,77 @@ class TestEnumeration:
             calls.clear()
             search._canonical_bits_upto(7, connected)
             assert len(calls) == expected
-        # a census grows the connected families on 2..7 vertices (1,361
-        # calls with the degree rule alone)
+        # a census grows the connected families on 2..6 vertices and decides
+        # level 7 as it grows it; the 510 children whose new vertex is their
+        # only canonical deletion and whose extension succeeds get no form
+        # (1,048 calls with a form for every child; 1,361 with the degree
+        # rule alone)
         monkeypatch.setattr(search, "_enum_cache", {})
         calls.clear()
         census_non_word_representable(7)
-        assert len(calls) == 1048
+        assert len(calls) == 538
 
     @staticmethod
     def _keeps(adj, connected):
         # the filter's decision for the child with masks adj, grown by its
-        # last vertex from the parent without it; the oracle must agree
+        # last vertex from the parent without it; the oracles must agree
         last = len(adj) - 1
         parent = [m & ~(1 << last) for m in adj[:last]]
         keeps = search._deletion_rule(parent, connected)(adj[last])
-        assert keeps == slow_is_canonical_deletion(adj, connected)
+        assert bool(keeps) == slow_is_canonical_deletion(adj, connected)
+        assert (keeps == search._SOLE) == slow_is_sole_canonical_deletion(adj, connected)
         return keeps
 
     def test_canonical_deletion_rule(self):
         keeps = self._keeps
+        DROP, TIED, SOLE = search._DROP, search._TIED, search._SOLE
         # a path 0-2-1 grown by its middle vertex: the leaves are lighter
         # and are not cut vertices
-        assert not keeps([0b100, 0b100, 0b011], True)
-        assert not keeps([0b100, 0b100, 0b011], False)
+        assert keeps([0b100, 0b100, 0b011], True) == DROP
+        assert keeps([0b100, 0b100, 0b011], False) == DROP
         # two K4s, {0..3} and {5..8}, joined through vertex 4 (degree 2, a
         # cut vertex).  Vertex 8 (degree 3) is of minimum degree among the
         # non-cut vertices only; no connected graph on 8 or fewer vertices
-        # has every vertex of minimum degree a cut vertex
+        # has every vertex of minimum degree a cut vertex.  Vertex 8 ties
+        # with 6 and 7 at degree 3 and sum 10
         pairs = [(i, j) for k in (0, 5) for i in range(k, k + 4) for j in range(i + 1, k + 4)]
         G = Graph.from_index_edges(tuple(str(i) for i in range(9)), pairs + [(3, 4), (4, 5)])
-        assert keeps(G.adj, True)
-        assert not keeps(G.adj, False)
+        assert keeps(G.adj, True) == TIED
+        assert keeps(G.adj, False) == DROP
         # every vertex of K_4 ties at degree 3 and sum 9: ties are allowed
         K4 = complete_graph(tuple("1234"))
-        assert keeps(K4.adj, True) and keeps(K4.adj, False)
+        assert keeps(K4.adj, True) == keeps(K4.adj, False) == TIED
         # degree ties decided by neighbour-degree sums: the star with centre
         # 0 and leaves 1, 2, 3, grown by a leaf 4 on leaf 1.  Vertex 4 has
         # degree 1 and sum 2; leaves 2 and 3 have degree 1 and sum 3
         star = [0b1110, 0b0001, 0b0001, 0b0001]
-        assert not keeps(star[:1] + [star[1] | 0b10000] + star[2:] + [0b10], True)
-        assert not keeps(star[:1] + [star[1] | 0b10000] + star[2:] + [0b10], False)
+        assert keeps(star[:1] + [star[1] | 0b10000] + star[2:] + [0b10], True) == DROP
+        assert keeps(star[:1] + [star[1] | 0b10000] + star[2:] + [0b10], False) == DROP
         # grown on the centre instead, vertex 4 ties with every leaf at
         # degree 1 and sum 4
-        assert keeps([star[0] | 0b10000] + star[1:] + [0b1], True)
+        assert keeps([star[0] | 0b10000] + star[1:] + [0b1], True) == TIED
+        assert keeps([star[0] | 0b10000] + star[1:] + [0b1], False) == TIED
         # the path 0-1-2 grown by a leaf 3 on 0: vertex 3 (degree 1, sum 2)
         # ties with leaf 2 (degree 1, sum 2)
-        assert keeps([0b1010, 0b0101, 0b0010, 0b0001], True)
+        assert keeps([0b1010, 0b0101, 0b0010, 0b0001], True) == TIED
+        # a pendant 3 on vertex 0 of the triangle 0-1-2 is the only vertex
+        # of degree 1
+        pendant = [0b1110, 0b0101, 0b0011, 0b0001]
+        assert keeps(pendant, True) == keeps(pendant, False) == SOLE
+        # a tie with a cut vertex does not count in the connected family: the
+        # triangle 0-1-4, the path 4-2-5 and the diamond 5-6-3-7 (no edge
+        # 5-7), grown by 7 on 3 and 6.  Vertex 7 (degree 2, sum 6) ties only
+        # with the cut vertex 2; the only connected graph on 8 or fewer
+        # vertices with such a vertex
+        pairs = [(0, 1), (0, 4), (1, 4), (2, 4), (2, 5), (3, 5), (3, 6), (5, 6), (3, 7), (6, 7)]
+        G = Graph.from_index_edges(tuple(str(i) for i in range(8)), pairs)
+        assert keeps(G.adj, True) == SOLE
+        assert keeps(G.adj, False) == TIED
 
     def test_deletion_rule_matches_oracle_up_to_6(self):
         # the parent-table filter decides every extension of every parent
-        # on at most 6 vertices as the child-level oracle does, on each
-        # parent as enumerated and relabelled
+        # on at most 6 vertices as the child-level oracles do, keep or drop
+        # and sole or not, on each parent as enumerated and relabelled
         rng = random.Random(10)
         for connected in (True, False):
             for m in range(1, 7):
@@ -287,7 +308,9 @@ class TestEnumeration:
                         keeps = search._deletion_rule(F.adj, connected)
                         for nbh in range(1 if connected else 0, 1 << m):
                             child = [a | (nbh >> v & 1) << m for v, a in enumerate(F.adj)] + [nbh]
-                            assert keeps(nbh) == slow_is_canonical_deletion(child, connected)
+                            rule = keeps(nbh)
+                            assert bool(rule) == slow_is_canonical_deletion(child, connected)
+                            assert (rule == search._SOLE) == slow_is_sole_canonical_deletion(child, connected)
 
     def test_automorphisms_match_brute_force(self):
         # each graph as enumerated, and relabelled so that its refined
@@ -462,16 +485,27 @@ class TestCensus:
     def test_grown_verdicts_equal_full_search_up_to_7(self, monkeypatch):
         # every "yes" of an extension is a semi-transitive orientation, every
         # inherited "no" names a refuted parent that the child induces, and
-        # every verdict is a full search's
+        # every verdict is a full search's.  The children counted without a
+        # form (the extended orientations whose form no verdict holds) are
+        # distinct classes, and together with the verdicts they are the
+        # whole level
         extended = []
-        monkeypatch.setattr(search, "Orientation", lambda G, succ: extended.append(orient.Orientation(G, succ)))
+
+        def checked(G, succ):
+            extended.append(orient.Orientation(G, succ))
+            return extended[-1]
+
+        monkeypatch.setattr(search, "Orientation", checked)
         kinds = {}
         for n in range(2, 8):
             extended.clear()
-            verdicts = search._grown_verdicts(n, 1)
-            assert sorted(verdicts) == search._canonical_bits_upto(n, True)
+            verdicts, skipped = search._grown_verdicts(n, 1)
             assert all(orient.is_semi_transitive(D) for D in extended)
-            assert len(extended) == sum(1 for ok, parent in verdicts.values() if ok and parent is not None)
+            forms = [canonical_form(D.base)[1] for D in extended]
+            sole_forms = [form for form in forms if form not in verdicts]
+            assert len(set(sole_forms)) == len(sole_forms) == skipped
+            assert sorted(set(sole_forms) | set(verdicts)) == search._canonical_bits_upto(n, True)
+            assert len(extended) == skipped + sum(1 for ok, parent in verdicts.values() if ok and parent is not None)
             for form, (ok, parent) in verdicts.items():
                 G = graph_from_canonical_bits(n, form)
                 assert ok == is_word_representable(G)
@@ -483,8 +517,11 @@ class TestCensus:
                     assert (search_semi_transitive(H) is not None) == ok
                     assert (n - 1, parent) in {canonical_form(G.delete_vertex(v)) for v in G.labels}
                 kinds[n, kind] = kinds.get((n, kind), 0) + 1
+            kinds[n, "sole"] = skipped
         assert not any(kind == "inherited" for n, kind in kinds if n < 7)
-        assert (kinds[7, "extended"], kinds[7, "inherited"], kinds[7, "searched"]) == (803, 8, 42)
+        # census 7: 803 forms extended, 510 of them counted without a form
+        split = tuple(kinds[7, kind] for kind in ("extended", "sole", "inherited", "searched"))
+        assert split == (293, 510, 8, 42)
         assert census_non_word_representable(1) == search.CensusResult(1, 1, ())
 
     def test_grown_verdicts_identical_across_jobs(self):
