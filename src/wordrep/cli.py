@@ -113,10 +113,6 @@ def _load_word(spec: str, alphabet: tuple[str, ...] | None) -> Word:
     return words[0]
 
 
-def _print_word(word: Word, compact: bool):
-    print(word.compact_str() if compact else str(word))
-
-
 def _split_list(arg: str) -> list[str]:
     return [tok for tok in arg.replace(",", " ").split() if tok]
 
@@ -143,16 +139,25 @@ def _cmd_orient(args) -> int:
         if len(args.rest) != 2:
             raise CliError("usage: orient paths <arc-count> <orientation>")
         try:
-            args.length = int(args.rest[0])
+            length = int(args.rest[0])
         except ValueError:
             raise CliError(f"bad arc count {args.rest[0]!r}")
-        args.target = args.rest[1]
-    else:
-        if len(args.rest) != 1:
-            raise CliError(f"orient {args.action} takes exactly one target")
-        args.target = args.rest[0]
+    elif len(args.rest) != 1:
+        raise CliError(f"orient {args.action} takes exactly one target")
+    target = args.rest[-1]
+    if args.action in ("search", "search-transitive"):
+        search, refuted = {
+            "search": (search_semi_transitive, "not word-representable"),
+            "search-transitive": (search_transitive, "not a comparability graph"),
+        }[args.action]
+        D = search(_load_graph(target), max_nodes=_default_max_nodes())
+        if D is None:
+            print(f"none ({refuted})")
+            return 1
+        print(fileio.print_orientation(D), end="")
+        return 0
+    D = _load_orientation(target)
     if args.action == "check":
-        D = _load_orientation(args.target)
         if not is_acyclic(D):
             print("not semi-transitive: orientation has a directed cycle")
             return 1
@@ -167,28 +172,15 @@ def _cmd_orient(args) -> int:
         )
         return 1
     if args.action == "check-transitive":
-        D = _load_orientation(args.target)
         if is_transitive(D):
             print("transitive")
             return 0
         print("not transitive")
         return 1
-    if args.action == "paths":
-        D = _load_orientation(args.target)
-        paths = directed_paths_with_arcs(D, args.length)
-        for p in paths:
-            print(" -> ".join(p))
-        print(f"{len(paths)} path(s) with {args.length} arcs")
-        return 0
-    search, refuted = {
-        "search": (search_semi_transitive, "not word-representable"),
-        "search-transitive": (search_transitive, "not a comparability graph"),
-    }[args.action]
-    D = search(_load_graph(args.target), max_nodes=_default_max_nodes())
-    if D is None:
-        print(f"none ({refuted})")
-        return 1
-    print(fileio.print_orientation(D), end="")
+    paths = directed_paths_with_arcs(D, length)
+    for p in paths:
+        print(" -> ".join(p))
+    print(f"{len(paths)} path(s) with {length} arcs")
     return 0
 
 
@@ -199,13 +191,11 @@ def _cmd_construct(args) -> int:
         raise CliError(f"construct {args.kind} needs {need} input(s), got {len(args.inputs)}")
     if len(args.inputs) > most:
         raise CliError(f"construct {args.kind} takes at most {most} input(s), got {len(args.inputs)}")
-    compact = args.compact
+    after = ""  # printed below the verified line
     if args.kind == "mycielski-word":
         word = mycielski_cycle_word(int(args.inputs[0]))
-        _print_word(word, compact)
-        print("verified: 0-11-represents the Mycielski cycle graph minus its apex")
-        return 0
-    if args.kind == "three-perm":
+        claim = "0-11-represents the Mycielski cycle graph minus its apex"
+    elif args.kind == "three-perm":
         path = Path(args.inputs[0])
         if not path.is_file():
             raise CliError(f"word file {args.inputs[0]!r} not found")
@@ -216,43 +206,33 @@ def _cmd_construct(args) -> int:
             raise CliError("three-perm needs a file with exactly three permutations")
         G = three_perm_graph(*perms)
         word = perms[0].concat(perms[1], perms[2])
-        _print_word(word, compact)
-        print("verified: 1-11-represents the graph below")
-        print(fileio.print_graph(G), end="")
-        return 0
-    if args.kind == "double":
+        claim = "1-11-represents the graph below"
+        after = fileio.print_graph(G)
+    elif args.kind == "double":
         w = _load_word(args.inputs[0], None)
         word = double_word(w, args.variant)
-        _print_word(word, compact)
-        print("verified: 1-11-represents the same graph as the input word")
-        return 0
-    if args.kind == "split":
+        claim = "1-11-represents the same graph as the input word"
+    elif args.kind == "split":
         G = _load_graph(args.inputs[0])
         if not (args.clique is not None and args.independent is not None):
             raise CliError("split needs --clique and --independent")
         P = SplitPartition(G, tuple(_split_list(args.clique)), tuple(_split_list(args.independent)))
         word = split_word(P)
-        _print_word(word, compact)
-        print("verified: permutational 1-11-representant")
-        return 0
-    if args.kind == "comp-ind":
+        claim = "permutational 1-11-representant"
+    elif args.kind == "comp-ind":
         G = _load_graph(args.inputs[0])
         if not (args.comp is not None and args.independent is not None):
             raise CliError("comp-ind needs --comp and --independent")
         P = comp_ind_partition(G, _split_list(args.comp), _split_list(args.independent))
         word = comp_plus_ind_word(P)
-        _print_word(word, compact)
-        print("verified: permutational 1-11-representant")
-        return 0
-    if args.kind == "remove-edges":
+        claim = "permutational 1-11-representant"
+    elif args.kind == "remove-edges":
         G = _load_graph(args.inputs[0])
         w = _load_word(args.inputs[1], G.labels)
         parts = [_split_list(p) for p in args.part or []]
         word = remove_edge_sets(G, w, parts, short=args.short)
-        _print_word(word, compact)
-        print("verified: 1-11-represents the graph minus the internal part edges")
-        return 0
-    if args.kind == "remove-matching":
+        claim = "1-11-represents the graph minus the internal part edges"
+    elif args.kind == "remove-matching":
         H = _load_graph(args.inputs[0])
         if args.inputs[1:]:
             w = _load_word(args.inputs[1], H.labels)
@@ -265,10 +245,13 @@ def _cmd_construct(args) -> int:
             if len(e) != 2:
                 raise CliError("--edge needs exactly two endpoints")
         word = remove_matching(H, matching, w, short=args.short)
-        _print_word(word, compact)
-        print("verified: 1-11-represents the graph without the matching")
-        return 0
-    raise CliError(f"unknown construct kind {args.kind!r}")
+        claim = "1-11-represents the graph without the matching"
+    else:
+        raise CliError(f"unknown construct kind {args.kind!r}")
+    print(word.compact_str() if args.compact else str(word))
+    print(f"verified: {claim}")
+    print(after, end="")
+    return 0
 
 
 def _cmd_census(args) -> int:

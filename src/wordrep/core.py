@@ -66,24 +66,23 @@ class Graph:
     def from_edges(cls, labels: Sequence[str], edges: Iterable[tuple[str, str]]) -> "Graph":
         labels = tuple(labels)
         index = {lab: i for i, lab in enumerate(labels)}
-        adj = [0] * len(labels)
+        pairs = []
         for u, v in edges:
             if u not in index or v not in index:
                 raise ValueError(f"edge ({u},{v}) uses unknown vertex")
-            i, j = index[u], index[v]
-            if i == j:
-                raise ValueError(f"self-loop at {u}")
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        return cls(labels, tuple(adj))
+            pairs.append((index[u], index[v]))
+        return cls.from_index_edges(labels, pairs)
 
     @classmethod
     def from_index_edges(cls, labels: Sequence[str], pairs: Iterable[tuple[int, int]]) -> "Graph":
         labels = tuple(labels)
-        adj = [0] * len(labels)
+        n = len(labels)
+        adj = [0] * n
         for i, j in pairs:
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError("edge endpoint out of range")
             if i == j:
-                raise ValueError("self-loop")
+                raise ValueError(f"self-loop at {labels[i]}")
             adj[i] |= 1 << j
             adj[j] |= 1 << i
         return cls(labels, tuple(adj))

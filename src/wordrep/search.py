@@ -266,16 +266,28 @@ def _deletion_rule(adj: Sequence[int], connected: bool) -> Callable[[int], int]:
     every = (1 << m) - 1
     parts = [_components(adj, every ^ 1 << w) for w in range(m)] if connected else None
 
+    def eligible(group: int, nbh: int) -> bool:
+        """Does the vertex mask ``group`` hold a vertex that the rule ranks
+        against the new vertex joined to ``nbh``: any vertex, or if
+        ``connected``, one that is not a cut vertex of the child?"""
+        if not connected:
+            return group != 0
+        while group:
+            low = group & -group
+            group ^= low
+            if all(nbh & part for part in parts[low.bit_length() - 1]):
+                return True
+        return False
+
     def keeps(nbh: int) -> int:
         d = nbh.bit_count()
         if not d:
             # only isolated vertices tie with it, all at sum 0
             return _TIED if equal[0] else _SOLE
-        beats = below[d - 1] | equal[d - 1] & ~nbh
-        if beats and not connected:
+        if eligible(below[d - 1] | equal[d - 1] & ~nbh, nbh):
             return _DROP
         same_degree = equal[d - 1] & nbh | equal[d] & ~nbh
-        ties = 0
+        beats = ties = 0
         if same_degree:
             total = d
             rest = nbh
@@ -292,19 +304,9 @@ def _deletion_rule(adj: Sequence[int], connected: bool) -> Callable[[int], int]:
                     beats |= low
                 elif s_w == total:
                     ties |= low
-        if not connected:
-            return _DROP if beats else _TIED if ties else _SOLE
-        while beats:
-            low = beats & -beats
-            beats ^= low
-            if all(nbh & part for part in parts[low.bit_length() - 1]):
-                return _DROP
-        while ties:
-            low = ties & -ties
-            ties ^= low
-            if all(nbh & part for part in parts[low.bit_length() - 1]):
-                return _TIED
-        return _SOLE
+        if eligible(beats, nbh):
+            return _DROP
+        return _TIED if eligible(ties, nbh) else _SOLE
 
     return keeps
 
@@ -529,14 +531,18 @@ def census_non_word_representable(n: int, jobs: int = 1) -> CensusResult:
 
 
 def census_from_graph6(lines, jobs: int = 1) -> CensusResult:
-    """Census over an externally supplied graph6 stream (deduplicated)."""
-    from .graph6 import parse_graph6
+    """Census over an externally supplied graph6 stream (deduplicated).
+
+    Blank lines and a bare ``>>graph6<<`` header line are skipped; the
+    header may also prefix a graph's line.  Any other line, another format's
+    header included, must parse as graph6."""
+    from .graph6 import HEADER, parse_graph6
 
     forms = set()
     n_seen = set()
     for line in lines:
         line = line.strip()
-        if not line or line.startswith(">>"):
+        if not line or line == HEADER:
             continue
         G = parse_graph6(line)
         n_seen.add(G.n)

@@ -95,11 +95,9 @@ def alternates(w: Word, x: str, y: str) -> bool:
 
 
 def is_t_uniform(w: Word, t: int) -> bool:
-    """Every alphabet letter occurs exactly t times."""
-    counts = [0] * len(w.alphabet)
-    for a in w.letters:
-        counts[a] += 1
-    return all(c == t for c in counts)
+    """Every alphabet letter occurs exactly t times (vacuously true for an
+    empty alphabet, whose ``uniformity`` is None)."""
+    return not w.alphabet or uniformity(w) == t
 
 
 def uniformity(w: Word) -> Optional[int]:

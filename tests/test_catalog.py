@@ -91,6 +91,22 @@ class TestGoldenArtifacts:
         assert ("chvatal-augmented", "orientation") in artifacts
         assert ("chvatal", "subset V1 ~ BW3") in artifacts
 
+    def test_verify_catalog_checks(self):
+        # every stored artifact, entry by entry; the generated Mycielski
+        # entries store none, so they add no check
+        report = catalog.verify_catalog()
+        assert [(entry, artifact) for entry, artifact, _, _ in report.checks] == [
+            ("chvatal", "subset V1 ~ BW3"), ("chvatal", "subset V2 ~ BW3"),
+            ("chvatal", "subset V3 ~ BW3"), ("chvatal", "subset V4 ~ BW3"),
+            ("chvatal", "subset C5a ~ C5"), ("chvatal", "subset C5b ~ C5"),
+            ("chvatal-augmented", "word k=0"), ("chvatal-augmented", "orientation"),
+            ("graph12", "word k=1"), ("graph12", "independent subset"),
+            ("graph17", "word k=1"), ("graph17", "independent subset"),
+            ("split-min", "clique subset"), ("split-min", "independent subset"),
+        ]
+        entry = catalog.get("mycielski-c:5")
+        assert not (entry.golden_words or entry.golden_orientations or entry.special_subsets)
+
     def test_truncated_word_fails_verification(self):
         entry = catalog.get("graph12")
         (word, _), = entry.golden_words

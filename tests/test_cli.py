@@ -275,6 +275,22 @@ class TestCensus:
         assert main(["census", "--graph6", str(tmp_path / "missing.g6")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_graph6_stream_with_header(self, capsys, tmp_path):
+        from wordrep import catalog
+        from wordrep.graph6 import HEADER, write_graph6
+
+        stream = tmp_path / "w5.g6"
+        stream.write_text(HEADER + write_graph6(catalog.get("w5").graph) + "\n")
+        assert main(["census", "--graph6", str(stream)]) == 0
+        assert "n=6: examined 1 graphs, 1 non-word-representable" in capsys.readouterr().out
+
+    def test_graph6_stream_with_other_header_exit_2(self, capsys, tmp_path):
+        stream = tmp_path / "in.s6"
+        stream.write_text(">>sparse6<<:Bg\n")
+        assert main(["census", "--graph6", str(stream)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "examined" not in captured.out
+
     @pytest.mark.parametrize("line", ["=?", "\x7f"], ids=["equals-sign", "del"])
     def test_invalid_graph6_size_byte_exit_2(self, capsys, tmp_path, line):
         stream = tmp_path / "bad.g6"

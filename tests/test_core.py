@@ -70,6 +70,13 @@ class TestGraph:
         with pytest.raises(ValueError, match="self-loop"):
             Graph.from_edges(("a", "b"), [("a", "a")])
 
+    def test_index_edge_out_of_range_rejected(self):
+        for pair in ((0, 5), (2, 1), (-1, 0)):
+            with pytest.raises(ValueError, match="edge endpoint out of range"):
+                Graph.from_index_edges(("a", "b"), [pair])
+        with pytest.raises(ValueError, match="self-loop at b"):
+            Graph.from_index_edges(("a", "b"), [(1, 1)])
+
     def test_unknown_endpoint_rejected(self):
         with pytest.raises(ValueError, match="unknown vertex"):
             Graph.from_edges(("a", "b"), [("a", "z")])

@@ -6,6 +6,7 @@ import pytest
 from oracles import (
     brute_force_automorphisms,
     brute_force_uniform_word,
+    relabelled,
     slow_canonical_bits_upto,
     slow_is_canonical_deletion,
     slow_is_sole_canonical_deletion,
@@ -14,7 +15,7 @@ from oracles import (
 )
 from wordrep import _kernels, orient, search
 from wordrep.core import Graph, complete_graph, cycle_graph, empty_graph, path_graph
-from wordrep.graph6 import parse_graph6, write_graph6
+from wordrep.graph6 import HEADER, parse_graph6, write_graph6
 from wordrep.orient import BudgetExceeded, _Budget, search_semi_transitive
 from wordrep.search import (
     SearchBudget,
@@ -301,10 +302,7 @@ class TestEnumeration:
         for connected in (True, False):
             for m in range(1, 7):
                 for H in enumerate_nonisomorphic(m, connected):
-                    perm = list(range(m))
-                    rng.shuffle(perm)
-                    H2 = Graph.from_index_edges(H.labels, [(perm[i], perm[j]) for i, j in H.edges()])
-                    for F in (H, H2):
+                    for F in (H, relabelled(rng, H)):
                         keeps = search._deletion_rule(F.adj, connected)
                         for nbh in range(1 if connected else 0, 1 << m):
                             child = [a | (nbh >> v & 1) << m for v, a in enumerate(F.adj)] + [nbh]
@@ -318,10 +316,7 @@ class TestEnumeration:
         rng = random.Random(7)
         for n in range(1, 7):
             for G in enumerate_nonisomorphic(n):
-                perm = list(range(n))
-                rng.shuffle(perm)
-                H = Graph.from_index_edges(G.labels, [(perm[i], perm[j]) for i, j in G.edges()])
-                for F in (G, H):
+                for F in (G, relabelled(rng, G)):
                     assert sorted(_automorphisms(F)) == brute_force_automorphisms(F)
 
     def test_automorphisms_match_brute_force_at_7(self):
@@ -357,10 +352,7 @@ class TestEnumeration:
                 if rng.random() < 0.5
             ]
             G = Graph.from_edges(labels, edges)
-            perm = list(range(n))
-            rng.shuffle(perm)
-            H = Graph.from_index_edges(labels, [(perm[i], perm[j]) for i, j in G.edges()])
-            assert canonical_form(G) == canonical_form(H)
+            assert canonical_form(G) == canonical_form(relabelled(rng, G))
 
     def test_canonical_form_separates(self):
         assert canonical_form(cycle_graph(tuple("1234"))) != canonical_form(path_graph(tuple("1234")))
@@ -373,10 +365,7 @@ class TestEnumeration:
         G = parse_graph6(PETERSEN_G6)
         rng = random.Random(10)
         for _ in range(3):
-            perm = list(range(10))
-            rng.shuffle(perm)
-            H = Graph.from_index_edges(G.labels, [(perm[i], perm[j]) for i, j in G.edges()])
-            assert canonical_form(H) == (10, 487837009056)
+            assert canonical_form(relabelled(rng, G)) == (10, 487837009056)
 
     def test_bits_roundtrip(self):
         G = cycle_graph(tuple("12345"))
@@ -439,10 +428,7 @@ class TestCensus:
         rng = random.Random(6)
         lines = []
         for G in enumerate_nonisomorphic(6, connected_only=True):
-            perm = list(range(6))
-            rng.shuffle(perm)
-            H = Graph.from_index_edges(G.labels, [(perm[i], perm[j]) for i, j in G.edges()])
-            lines.append(write_graph6(H))
+            lines.append(write_graph6(relabelled(rng, G)))
         lines += lines[:10]  # duplicates must be deduplicated
         rng.shuffle(lines)
         r = census_from_graph6(lines)
@@ -535,6 +521,19 @@ class TestCensus:
         r = census_non_word_representable(8)
         assert (r.examined, len(r.non_word_representable)) == (11117, 929)
         assert _sha16((r.n, r.examined, [(G.labels, G.adj) for G in r.non_word_representable])) == "f353ee79b0b78929"
+
+    def test_census_from_graph6_reads_the_header(self):
+        # the optional header may prefix a graph's line, as the format
+        # description writes it, or stand on a line of its own
+        r = census_from_graph6([HEADER + write_graph6(_w5())])
+        assert r.examined == 1
+        assert [canonical_form(G) for G in r.non_word_representable] == [canonical_form(_w5())]
+        r = census_from_graph6([HEADER, write_graph6(_w5()), ""])
+        assert (r.examined, len(r.non_word_representable)) == (1, 1)
+
+    def test_census_from_graph6_rejects_other_headers(self):
+        with pytest.raises(ValueError):
+            census_from_graph6([">>sparse6<<:Bg"])
 
     def test_census_from_graph6_rejects_mixed_n(self):
         lines = [write_graph6(complete_graph(tuple("123"))), write_graph6(complete_graph(tuple("1234")))]

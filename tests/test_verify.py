@@ -138,6 +138,14 @@ class TestWordPredicates:
         assert is_t_uniform(Word.compact("121212"), 3)
         assert not is_t_uniform(Word.compact("121212"), 2)
 
+    def test_empty_alphabet_is_t_uniform_for_every_t(self):
+        empty = Word((), ())
+        assert uniformity(empty) is None
+        assert all(is_t_uniform(empty, t) for t in range(5))
+        # a letter that never occurs makes a word 0-uniform and nothing else
+        assert is_t_uniform(Word(("a",), ()), 0)
+        assert not is_t_uniform(Word(("a",), ()), 1)
+
     def test_is_permutational(self):
         assert is_permutational(Word.compact("123321213"))
         assert not is_permutational(Word.compact("1233212"))  # wrong length
