@@ -3,7 +3,7 @@
 Exit status contract, stable across subcommands:
   0 verified / constructed / found
   1 refuted / not found
-  2 usage or parse error
+  2 usage, parse or file error
   3 search budget exhausted (outcome unknown)
 """
 
@@ -255,21 +255,15 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    if args.graph6 is not None:
-        if args.graph6 == "-":
-            lines = sys.stdin.read().splitlines()
-        else:
-            try:
-                lines = Path(args.graph6).read_text().splitlines()
-            except OSError as exc:
-                raise CliError(f"cannot read {args.graph6!r}: {exc.strerror}")
+    if args.graph6 == "-":
+        lines = sys.stdin.read().splitlines()
+    elif args.graph6 is not None:
+        lines = Path(args.graph6).read_text().splitlines()
     out = None
-    if args.emit_graph6:
-        # opened before the census, so that a bad path fails at once
-        try:
-            out = sys.stdout if args.emit_graph6 == "-" else open(args.emit_graph6, "w")
-        except OSError as exc:
-            raise CliError(f"cannot write {args.emit_graph6!r}: {exc.strerror}")
+    if args.emit_graph6 == "-":
+        out = sys.stdout
+    elif args.emit_graph6:
+        out = open(args.emit_graph6, "w")  # before the census, so that a bad path fails at once
     try:
         if args.graph6 is not None:
             result = census_from_graph6(lines, jobs=args.jobs)
@@ -382,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (fileio.ParseError, ConstructionError, ValueError) as exc:
+    except (fileio.ParseError, ConstructionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,6 +9,7 @@ not actually met, or there is a bug here).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Literal, Optional, Sequence
 
 from .core import (
@@ -16,7 +17,6 @@ from .core import (
     Permutation,
     Word,
     check_permutation,
-    complete_graph,
     cycle_graph,
     initial_permutation,
     reverse,
@@ -103,19 +103,22 @@ def remove_edge_sets(
         raise ValueError("word is not uniform")
     if not verify_k11(w, G, 0):
         raise ValueError("word does not 0-11-represent the graph")
-    seen: set[str] = set()
-    for part in parts:
-        pset = set(part)
-        if pset & seen:
+    part_of: dict[str, int] = {}
+    for p, part in enumerate(parts):
+        if any(part_of.get(lab, p) != p for lab in part):
             raise ValueError("parts are not pairwise disjoint")
-        seen |= pset
-        for lab in pset:
+        for lab in part:
             G.idx(lab)
+            part_of[lab] = p
 
     pi = initial_permutation(w)
-    pi_labels = pi.label_seq()
-    ordered_parts = [[lab for lab in pi_labels if lab in set(part)] for part in parts]
-    rest = [lab for lab in pi_labels if lab not in seen]
+    ordered_parts: list[list[str]] = [[] for _ in parts]
+    rest = []
+    for lab in pi.label_seq():
+        if lab in part_of:
+            ordered_parts[part_of[lab]].append(lab)
+        else:
+            rest.append(lab)
 
     p1 = Word.from_labels(w.alphabet, [lab for part in ordered_parts for lab in part] + rest)
     p2 = Word.from_labels(
@@ -126,15 +129,9 @@ def remove_edge_sets(
     else:
         out = p1.concat(p2, pi, w, w)
 
-    removed = set()
-    for part in ordered_parts:
-        pset = set(part)
-        for u, v in G.edge_labels():
-            if u in pset and v in pset:
-                removed.add(frozenset((u, v)))
-    H = Graph.from_edges(
-        G.labels, [e for e in G.edge_labels() if frozenset(e) not in removed]
-    )
+    H = Graph.from_edges(G.labels, [
+        (u, v) for u, v in G.edge_labels() if u not in part_of or part_of[u] != part_of.get(v)
+    ])
     return _verified(out, H, 1)
 
 
@@ -187,18 +184,18 @@ class SplitPartition:
         return [b for b in self.independent if b not in hits]
 
 
-def _split_blocks(P: SplitPartition) -> list[list[str]]:
-    """The permutation blocks w0 (three) and Pi_k..Pi_0 of the split word."""
-    A = list(P.clique)
-    B = list(P.independent)
+def _split_blocks(G: Graph, A: list[str], B: list[str]) -> list[list[str]]:
+    """The permutation blocks w0 (three) and Pi_k..Pi_0 of the split word.
+
+    Only the A-B edges of G are read, so A need not be a clique in G.
+    """
     k = len(A)
     blocks = [A + B, A + B[::-1], A + B]
-    if k >= 1:
-        blocks.append(A[: k - 1] + P.non_nbhd(k) + [A[k - 1]] + P.nbhd(k))
-        for j in range(k - 1, 0, -1):
-            blocks.append(
-                A[k - 1:j - 1:-1] + A[: j - 1] + P.non_nbhd(j) + [A[j - 1]] + P.nbhd(j)
-            )
+    for j in range(k, 0, -1):
+        hits = G.neighbors_in(A[j - 1], B)
+        non_nbhd = [b for b in B if b not in hits]
+        nbhd = [b for b in B if b in hits]
+        blocks.append(A[k - 1:j - 1:-1] + A[: j - 1] + non_nbhd + [A[j - 1]] + nbhd)
     blocks.append(A[::-1] + B)
     return blocks
 
@@ -212,9 +209,8 @@ def split_word(P: SplitPartition) -> Word:
     Pi_j = a_k..a_{j+1} a_1..a_{j-1} O_j a_j N_j  (0 < j < k),
     Pi_0 = a_k..a_1 B.
     """
-    alphabet = P.graph.labels
-    blocks = _split_blocks(P)
-    word = Word.from_labels(alphabet, [lab for blk in blocks for lab in blk])
+    blocks = _split_blocks(P.graph, list(P.clique), list(P.independent))
+    word = Word.from_labels(P.graph.labels, [lab for blk in blocks for lab in blk])
     return _verified(word, P.graph, 1)
 
 
@@ -226,69 +222,42 @@ def comparability_perm_rep(D: Orientation) -> list[Permutation]:
 
     All returned permutations are linear extensions of D, so every arc pair
     keeps its order everywhere; each non-adjacent pair shows up in both
-    orders across the list.  Greedy: start from one extension, then for
-    every one-sided non-edge pair append an extension of D plus that pair
-    reversed (always consistent, as non-adjacent means incomparable).
-    Minimality of the count is a non-goal.
+    orders across the list.  Greedy: start from the lexicographically
+    smallest extension, then for every non-edge pair seen in one order only
+    append the smallest extension of D plus that pair reversed (always
+    consistent, as non-adjacent means incomparable).  Minimality of the
+    count is a non-goal.
     """
     if not is_transitive(D):
         raise ValueError("orientation is not transitive")
     G = D.base
     n = G.n
+    pred = [sum(1 << i for i in range(n) if D.succ[i] >> j & 1) for j in range(n)]
 
     def lin_ext(extra: Optional[tuple[int, int]] = None) -> list[int]:
-        succ = list(D.succ)
+        need = list(pred)
         if extra is not None:
-            succ[extra[0]] |= 1 << extra[1]
-        indeg = [0] * n
-        for i in range(n):
-            for j in range(n):
-                if succ[i] >> j & 1:
-                    indeg[j] += 1
-        import heapq
-
-        heap = [i for i in range(n) if indeg[i] == 0]
-        heapq.heapify(heap)
-        order = []
-        while heap:
-            i = heapq.heappop(heap)
-            order.append(i)
-            for j in range(n):
-                if succ[i] >> j & 1:
-                    indeg[j] -= 1
-                    if indeg[j] == 0:
-                        heapq.heappush(heap, j)
-        if len(order) != n:
-            raise ValueError("cyclic orientation")
+            need[extra[1]] |= 1 << extra[0]
+        order, placed = [], 0
+        for _ in range(n):
+            free = [v for v in range(n) if not placed >> v & 1 and not need[v] & ~placed]
+            if not free:
+                raise ValueError("cyclic orientation")
+            order.append(free[0])
+            placed |= 1 << free[0]
         return order
 
-    def order_seen(order: list[int], seen: dict[tuple[int, int], set[str]]):
-        pos = [0] * n
-        for slot, v in enumerate(order):
-            pos[v] = slot
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not G.has_edge(i, j):
-                    seen[(i, j)].add("ij" if pos[i] < pos[j] else "ji")
-
-    non_edges = [(i, j) for i in range(n) for j in range(i + 1, n) if not G.has_edge(i, j)]
-    seen: dict[tuple[int, int], set[str]] = {p: set() for p in non_edges}
     orders = [lin_ext()]
-    order_seen(orders[0], seen)
-    for i, j in non_edges:
-        if len(seen[(i, j)]) == 2:
+    before = set(combinations(orders[0], 2))  # (u, v): some order puts u before v
+    for i, j in combinations(range(n), 2):
+        if G.has_edge(i, j) or {(i, j), (j, i)} <= before:
             continue
-        if "ij" in seen[(i, j)]:
-            extra = (j, i)
-        else:
-            extra = (i, j)
-        order = lin_ext(extra)
+        order = lin_ext((j, i) if (i, j) in before else (i, j))
         orders.append(order)
-        order_seen(order, seen)
+        before.update(combinations(order, 2))
 
     perms = [Word(G.labels, tuple(order)) for order in orders]
-    concat = perms[0].concat(*perms[1:]) if len(perms) > 1 else perms[0]
-    if not verify_k11(concat, G, 0):
+    if not verify_k11(perms[0].concat(*perms[1:]), G, 0):
         raise ConstructionError("permutation list fails to represent the base graph")
     return perms
 
@@ -340,20 +309,14 @@ def comp_ind_partition(G: Graph, comp_part: Sequence[str], ind_part: Sequence[st
 def comp_plus_ind_word(P: CompIndPartition) -> Word:
     """Permutational 1-11-representant of a comparability-plus-independent graph.
 
-    Split-style prefix w0 Pi_k..Pi_1 for the auxiliary graph where A is
-    completed into a clique, followed by Pi'_i = Q_i B for each permutation
-    Q_i representing G[A]; Pi'_1 coincides with the split word's Pi_0.
+    Split-style prefix w0 Pi_k..Pi_1 read off G's A-B edges as if A were a
+    clique, followed by Pi'_i = Q_i B for each permutation Q_i representing
+    G[A]; Pi'_1 coincides with the split word's Pi_0.
     """
     G = P.graph
-    A = list(P.clique_order)
     B = list(P.independent)
-    aux_edges = [e for e in G.edge_labels() if not (e[0] in set(A) and e[1] in set(A))]
-    aux_edges += [(u, v) for i, u in enumerate(A) for v in A[i + 1:]]
-    aux = Graph.from_edges(G.labels, aux_edges)
-    split = SplitPartition(aux, tuple(A), tuple(B))
-    blocks = _split_blocks(split)[:-1]  # w0 and Pi_k..Pi_1; Pi_0 becomes Pi'_1
-    for q in P.perms:
-        blocks.append(q.label_seq() + B)
+    blocks = _split_blocks(G, list(P.clique_order), B)[:-1]  # Pi_0 becomes Pi'_1
+    blocks += [q.label_seq() + B for q in P.perms]
     word = Word.from_labels(G.labels, [lab for blk in blocks for lab in blk])
     return _verified(word, G, 1)
 

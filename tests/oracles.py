@@ -11,7 +11,8 @@ from itertools import permutations, product
 from typing import Optional
 
 from wordrep import _kernels_py
-from wordrep.core import Graph, Word, canonical_form, iter_mask
+from wordrep.construct import ConstructionError
+from wordrep.core import Graph, Permutation, Word, canonical_form, iter_mask
 from wordrep.orient import Orientation, _Budget, _edge_order, is_transitive
 from wordrep.verify import verify_k11
 
@@ -545,3 +546,77 @@ def slow_canonical_bits_upto(n: int, connected: bool) -> list[int]:
             G = Graph.from_index_edges(labels, pairs)
             forms_set.add(canonical_form(G)[1])
     return sorted(forms_set)
+
+
+# The heap-based Kahn sort that construct.comparability_perm_rep replaced,
+# kept as written so that its permutation lists stay pinned.
+def reference_comparability_perm_rep(D: Orientation) -> list[Permutation]:
+    """Permutations representing the comparability graph underlying D.
+
+    All returned permutations are linear extensions of D, so every arc pair
+    keeps its order everywhere; each non-adjacent pair shows up in both
+    orders across the list.  Greedy: start from one extension, then for
+    every one-sided non-edge pair append an extension of D plus that pair
+    reversed (always consistent, as non-adjacent means incomparable).
+    Minimality of the count is a non-goal.
+    """
+    if not is_transitive(D):
+        raise ValueError("orientation is not transitive")
+    G = D.base
+    n = G.n
+
+    def lin_ext(extra: Optional[tuple[int, int]] = None) -> list[int]:
+        succ = list(D.succ)
+        if extra is not None:
+            succ[extra[0]] |= 1 << extra[1]
+        indeg = [0] * n
+        for i in range(n):
+            for j in range(n):
+                if succ[i] >> j & 1:
+                    indeg[j] += 1
+        import heapq
+
+        heap = [i for i in range(n) if indeg[i] == 0]
+        heapq.heapify(heap)
+        order = []
+        while heap:
+            i = heapq.heappop(heap)
+            order.append(i)
+            for j in range(n):
+                if succ[i] >> j & 1:
+                    indeg[j] -= 1
+                    if indeg[j] == 0:
+                        heapq.heappush(heap, j)
+        if len(order) != n:
+            raise ValueError("cyclic orientation")
+        return order
+
+    def order_seen(order: list[int], seen: dict[tuple[int, int], set[str]]):
+        pos = [0] * n
+        for slot, v in enumerate(order):
+            pos[v] = slot
+        for i in range(n):
+            for j in range(i + 1, n):
+                if not G.has_edge(i, j):
+                    seen[(i, j)].add("ij" if pos[i] < pos[j] else "ji")
+
+    non_edges = [(i, j) for i in range(n) for j in range(i + 1, n) if not G.has_edge(i, j)]
+    seen: dict[tuple[int, int], set[str]] = {p: set() for p in non_edges}
+    orders = [lin_ext()]
+    order_seen(orders[0], seen)
+    for i, j in non_edges:
+        if len(seen[(i, j)]) == 2:
+            continue
+        if "ij" in seen[(i, j)]:
+            extra = (j, i)
+        else:
+            extra = (i, j)
+        order = lin_ext(extra)
+        orders.append(order)
+        order_seen(order, seen)
+
+    perms = [Word(G.labels, tuple(order)) for order in orders]
+    concat = perms[0].concat(*perms[1:]) if len(perms) > 1 else perms[0]
+    if not verify_k11(concat, G, 0):
+        raise ConstructionError("permutation list fails to represent the base graph")
+    return perms

@@ -1,10 +1,15 @@
+import errno
+import io
+import os
+import sys
+
 import pytest
 
 from wordrep import cli
 from wordrep.cli import main
 from wordrep.core import complete_graph, cycle_graph
 from wordrep.fileio import parse_graph, parse_orientation, print_graph
-from wordrep.graph6 import parse_graph6
+from wordrep.graph6 import parse_graph6, write_graph6
 from wordrep.orient import is_semi_transitive, is_transitive
 from wordrep.search import canonical_form
 
@@ -213,6 +218,22 @@ class TestConstruct:
         assert main(["construct", *argv]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("parts, short, word", [
+        (["1,2"], [], "1243" "2143" "1243" "12413423" "12413423"),
+        (["1,2", "3 4"], ["--short"], "1243" "2134" "12413423" "12413423"),
+    ], ids=["long", "short"])
+    def test_remove_edges(self, capsys, tmp_path, parts, short, word):
+        # C4 and its 2-uniform representant 1 2 4 1 3 4 2 3
+        g = tmp_path / "c4.txt"
+        g.write_text(print_graph(cycle_graph(tuple("1234"))))
+        w = tmp_path / "w.txt"
+        w.write_text("1 2 4 1 3 4 2 3\n")
+        part_args = [arg for part in parts for arg in ("--part", part)]
+        assert main(["construct", "remove-edges", str(g), str(w), *part_args, *short, "--compact"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == word
+        assert out[1] == "verified: 1-11-represents the graph minus the internal part edges"
+
     def test_comp_ind(self, capsys, tmp_path):
         p = tmp_path / "g.txt"
         p.write_text(
@@ -255,6 +276,14 @@ class TestCensus:
         stream.write_text("IheA@GUAo\n")
         assert main(["census", "--graph6", str(stream)]) == 0
         assert "n=10: examined 1 graphs, 0 non-word-representable" in capsys.readouterr().out
+
+    def test_graph6_stdin(self, capsys, monkeypatch):
+        from wordrep import catalog
+
+        lines = [write_graph6(catalog.get("w5").graph), write_graph6(complete_graph(tuple("123456")))]
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
+        assert main(["census", "--graph6", "-"]) == 0
+        assert "n=6: examined 2 graphs, 1 non-word-representable" in capsys.readouterr().out
 
     def test_unwritable_emit_exit_2(self, capsys, tmp_path):
         target = tmp_path / "no" / "such" / "dir" / "x.g6"
@@ -309,6 +338,48 @@ class TestCensus:
     def test_jobs_zero_exit_2(self, capsys):
         assert main(["census", "5", "--jobs", "0"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestFileErrors:
+    """A file that cannot be read or written exits 2, never 1 (refuted)."""
+
+    class _FullDisk(io.StringIO):
+        # accepts every write and fails when closing flushes them, as a full disk does
+        def close(self):
+            super().close()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def test_emit_failing_at_flush_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "open", lambda *a, **k: self._FullDisk(), raising=False)
+        assert main(["census", "6", "--emit-graph6", "out.g6"]) == 2
+        captured = capsys.readouterr()
+        assert "n=6: examined 112 graphs, 1 non-word-representable" in captured.out
+        assert captured.err.startswith("error:") and os.strerror(errno.ENOSPC) in captured.err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_emit_to_full_device_exit_2(self, capsys):
+        assert main(["census", "6", "--emit-graph6", "/dev/full"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "{f}", "{f}"],
+        ["orient", "check", "{f}"],
+        ["construct", "double", "{f}"],
+        ["construct", "three-perm", "{f}"],
+        ["census", "--graph6", "{f}"],
+    ], ids=["graph", "orientation", "word", "three-perm", "graph6"])
+    def test_unreadable_file_exit_2(self, capsys, monkeypatch, tmp_path, argv):
+        f = tmp_path / "locked.txt"
+        f.write_text("")
+
+        def denied(self, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+
+        monkeypatch.setattr(cli.Path, "read_text", denied)
+        assert main([arg.format(f=f) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and os.strerror(errno.EACCES) in captured.err
 
 
 class TestCatalog:

@@ -1,7 +1,10 @@
+import hashlib
 import random
 from itertools import permutations
 
 import pytest
+
+from oracles import reference_comparability_perm_rep, relabelled
 
 from wordrep.catalog import get
 from wordrep.construct import (
@@ -21,7 +24,7 @@ from wordrep.construct import (
 )
 from wordrep.core import Graph, Word, complete_graph, cycle_graph, path_graph
 from wordrep.orient import Orientation, is_transitive, search_transitive
-from wordrep.search import chromatic_number
+from wordrep.search import chromatic_number, enumerate_nonisomorphic
 from wordrep.verify import graph_of_word, is_permutational, is_t_uniform, verify_k11
 
 
@@ -200,6 +203,21 @@ class TestComparability:
         with pytest.raises(ValueError, match="not transitive"):
             comparability_perm_rep(D)
 
+    def test_perm_rep_matches_reference_up_to_7(self):
+        # every comparability graph on n <= 7 vertices, and a relabelling of each
+        rng = random.Random(7)
+        checked = 0
+        for n in range(1, 8):
+            for G in enumerate_nonisomorphic(n):
+                for H in (G, relabelled(rng, G)):
+                    D = search_transitive(H)
+                    if D is None:
+                        continue
+                    got = [p.letters for p in comparability_perm_rep(D)]
+                    assert got == [p.letters for p in reference_comparability_perm_rep(D)]
+                    checked += 1
+        assert checked == 2 * 1019
+
     def test_comp_ind_partition_rejects_odd_cycle(self):
         C5 = cycle_graph(tuple("12345"))
         G = Graph.from_edges(tuple("123456"), C5.edge_labels() + [("1", "6")])
@@ -257,3 +275,55 @@ class TestMycielski:
     def test_cycle_word_rejects_small_n(self):
         with pytest.raises(ValueError, match="n >= 3"):
             mycielski_cycle_word(2)
+
+
+def _pinned_corpus_lines():
+    """Words of split_word, comp_plus_ind_word and remove_edge_sets on a seeded corpus."""
+    rng = random.Random(15)
+    for _ in range(100):
+        k, m = rng.randrange(0, 5), rng.randrange(1, 5)
+        labels = [f"v{i}" for i in range(k + m)]
+        rng.shuffle(labels)
+        clique, ind = labels[:k], labels[k:]
+        edges = [(clique[i], clique[j]) for i in range(k) for j in range(i + 1, k)]
+        edges += [(a, b) for a in clique for b in ind if rng.random() < 0.5]
+        G = Graph.from_edges(sorted(labels), edges)
+        yield "split " + str(split_word(SplitPartition(G, tuple(clique), tuple(ind))))
+    made = 0
+    while made < 100:
+        labels = [f"v{i}" for i in range(rng.randrange(2, 7))]
+        edges = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1:] if rng.random() < 0.5]
+        G = Graph.from_edges(labels, edges)
+        order = labels[:]
+        rng.shuffle(order)
+        ind = []
+        for v in order[: rng.randrange(1, len(order))]:
+            if not any(G.has_edge_labels(v, b) for b in ind):
+                ind.append(v)
+        comp = [v for v in order if v not in ind]
+        try:
+            P = comp_ind_partition(G, comp, ind)
+        except ValueError:
+            continue
+        made += 1
+        yield "comp-ind " + str(comp_plus_ind_word(P))
+    for _ in range(100):
+        labels = [f"v{i}" for i in range(rng.randrange(2, 7))]
+        seq = labels * rng.randrange(1, 4)
+        rng.shuffle(seq)
+        w = Word.from_labels(labels, seq)
+        G = graph_of_word(w, 0)
+        order = labels[:]
+        rng.shuffle(order)
+        cuts = sorted(rng.sample(range(len(order) + 1), rng.randrange(1, 4)))
+        parts = [order[a:b] for a, b in zip(cuts, cuts[1:])]
+        for short in (False, True):
+            yield f"remove-edges {short} " + str(remove_edge_sets(G, w, parts, short=short))
+
+
+class TestPinnedWords:
+    def test_corpus_digest(self):
+        lines = list(_pinned_corpus_lines())
+        assert len(lines) == 400
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "69fd820a99398b37fb2470c1a876c2d1d3f939605f929f3bfebb3279c37b3329"
