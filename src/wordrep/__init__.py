@@ -9,10 +9,8 @@ from .core import (
     count_pattern_11,
     cycle_graph,
     empty_graph,
-    induced_subgraph,
     induced_subword,
     initial_permutation,
-    neighbors_in,
     path_graph,
     reverse,
 )

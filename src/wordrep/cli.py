@@ -1,5 +1,10 @@
 """Command-line front end.
 
+argparse declares every operand: each ``orient`` and ``catalog`` action and
+each ``construct`` kind is a subparser with its own operands and flags, and
+``census`` takes N or ``--graph6``, not both. A usage error prints one
+``error: <command>: ...`` line and exits 2, like a parse or file error.
+
 Exit status contract, stable across subcommands:
   0 verified / constructed / found
   1 refuted / not found
@@ -31,14 +36,13 @@ from .construct import (
     three_perm_graph,
 )
 from .core import Graph, Word
-from .graph6 import parse_graph6, write_graph6
+from .graph6 import write_graph6
 from .orient import (
     BudgetExceeded,
     Orientation,
     directed_paths_with_arcs,
     find_shortcut,
     is_acyclic,
-    is_semi_transitive,
     is_transitive,
     search_semi_transitive,
     search_transitive,
@@ -51,6 +55,13 @@ class CliError(Exception):
     def __init__(self, message: str, code: int = 2):
         super().__init__(message)
         self.code = code
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a CliError, so that main() prints one line."""
+
+    def error(self, message: str):
+        raise CliError(f"{self.prog}: {message}")
 
 
 def _default_max_nodes() -> int | None:
@@ -66,32 +77,45 @@ def _default_max_nodes() -> int | None:
     raise CliError(f"bad WORDREP_MAX_NODES value {raw!r}")
 
 
-def _load_graph(spec: str) -> Graph:
-    name = spec.removeprefix("catalog:")
+def _entry(spec: str) -> cat.CatalogEntry | None:
     try:
-        return cat.get(name).graph
+        return cat.get(spec.removeprefix("catalog:"))
     except ValueError:
-        pass
+        return None
+
+
+def _read(spec: str) -> str:
     path = Path(spec)
     if not path.is_file():
         raise CliError(f"{spec!r} is neither a catalog name nor a file")
-    return fileio.parse_graph(path.read_text())
+    return path.read_text()
+
+
+def _load_graph(spec: str) -> Graph:
+    entry = _entry(spec)
+    if entry is None:
+        return fileio.parse_graph(_read(spec))
+    return entry.graph
 
 
 def _load_orientation(spec: str) -> Orientation:
-    name = spec.removeprefix("catalog:")
-    try:
-        entry = cat.get(name)
-    except ValueError:
-        entry = None
-    if entry is not None:
-        if not entry.golden_orientations:
-            raise CliError(f"catalog entry {name!r} has no stored orientation")
-        return entry.golden_orientations[0]
-    path = Path(spec)
-    if not path.is_file():
-        raise CliError(f"{spec!r} is neither a catalog name nor a file")
-    return fileio.parse_orientation(path.read_text())
+    entry = _entry(spec)
+    if entry is None:
+        return fileio.parse_orientation(_read(spec))
+    if not entry.golden_orientations:
+        raise CliError(f"catalog entry {entry.name!r} has no stored orientation")
+    return entry.golden_orientations[0]
+
+
+def _load_words(spec: str, alphabet: tuple[str, ...] | None, count: int) -> list[Word]:
+    """Exactly ``count`` words from a file; with no alphabet, its tokens in first-seen order."""
+    text = _read(spec)
+    if alphabet is None:
+        alphabet = tuple(dict.fromkeys(text.split()))
+    words = fileio.parse_words(text, alphabet)
+    if len(words) != count:
+        raise CliError(f"expected exactly {count} word(s) in {spec!r}, found {len(words)}")
+    return words
 
 
 def _load_word(spec: str, alphabet: tuple[str, ...] | None) -> Word:
@@ -100,21 +124,18 @@ def _load_word(spec: str, alphabet: tuple[str, ...] | None) -> Word:
         if not entry.golden_words:
             raise CliError(f"catalog entry {entry.name!r} has no stored word")
         return entry.golden_words[0][0]
-    path = Path(spec)
-    if not path.is_file():
-        raise CliError(f"word file {spec!r} not found")
-    text = path.read_text()
-    if alphabet is None:
-        tokens = text.split()
-        alphabet = tuple(dict.fromkeys(tokens))
-    words = fileio.parse_words(text, alphabet)
-    if len(words) != 1:
-        raise CliError(f"expected exactly one word in {spec!r}, found {len(words)}")
-    return words[0]
+    return _load_words(spec, alphabet, 1)[0]
 
 
 def _split_list(arg: str) -> list[str]:
     return [tok for tok in arg.replace(",", " ").split() if tok]
+
+
+def _edge(arg: str) -> tuple[str, ...]:
+    edge = tuple(_split_list(arg))
+    if len(edge) != 2:
+        raise argparse.ArgumentTypeError(f"{arg!r} is not two endpoints")
+    return edge
 
 
 # -- subcommands -------------------------------------------------------
@@ -135,28 +156,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_orient(args) -> int:
-    if args.action == "paths":
-        if len(args.rest) != 2:
-            raise CliError("usage: orient paths <arc-count> <orientation>")
-        try:
-            length = int(args.rest[0])
-        except ValueError:
-            raise CliError(f"bad arc count {args.rest[0]!r}")
-    elif len(args.rest) != 1:
-        raise CliError(f"orient {args.action} takes exactly one target")
-    target = args.rest[-1]
     if args.action in ("search", "search-transitive"):
         search, refuted = {
             "search": (search_semi_transitive, "not word-representable"),
             "search-transitive": (search_transitive, "not a comparability graph"),
         }[args.action]
-        D = search(_load_graph(target), max_nodes=_default_max_nodes())
+        D = search(_load_graph(args.target), max_nodes=_default_max_nodes())
         if D is None:
             print(f"none ({refuted})")
             return 1
         print(fileio.print_orientation(D), end="")
         return 0
-    D = _load_orientation(target)
+    D = _load_orientation(args.target)
     if args.action == "check":
         if not is_acyclic(D):
             print("not semi-transitive: orientation has a directed cycle")
@@ -177,77 +188,43 @@ def _cmd_orient(args) -> int:
             return 0
         print("not transitive")
         return 1
-    paths = directed_paths_with_arcs(D, length)
+    paths = directed_paths_with_arcs(D, args.arcs)
     for p in paths:
         print(" -> ".join(p))
-    print(f"{len(paths)} path(s) with {length} arcs")
+    print(f"{len(paths)} path(s) with {args.arcs} arcs")
     return 0
 
 
 def _cmd_construct(args) -> int:
-    need = 2 if args.kind == "remove-edges" else 1
-    most = 2 if args.kind in ("remove-edges", "remove-matching") else 1
-    if len(args.inputs) < need:
-        raise CliError(f"construct {args.kind} needs {need} input(s), got {len(args.inputs)}")
-    if len(args.inputs) > most:
-        raise CliError(f"construct {args.kind} takes at most {most} input(s), got {len(args.inputs)}")
     after = ""  # printed below the verified line
     if args.kind == "mycielski-word":
-        word = mycielski_cycle_word(int(args.inputs[0]))
+        word = mycielski_cycle_word(args.n)
         claim = "0-11-represents the Mycielski cycle graph minus its apex"
     elif args.kind == "three-perm":
-        path = Path(args.inputs[0])
-        if not path.is_file():
-            raise CliError(f"word file {args.inputs[0]!r} not found")
-        text = path.read_text()
-        alphabet = tuple(dict.fromkeys(text.split()))
-        perms = fileio.parse_words(text, alphabet)
-        if len(perms) != 3:
-            raise CliError("three-perm needs a file with exactly three permutations")
+        perms = _load_words(args.file, None, 3)
         G = three_perm_graph(*perms)
         word = perms[0].concat(perms[1], perms[2])
         claim = "1-11-represents the graph below"
         after = fileio.print_graph(G)
     elif args.kind == "double":
-        w = _load_word(args.inputs[0], None)
-        word = double_word(w, args.variant)
+        word = double_word(_load_word(args.word, None), args.variant)
         claim = "1-11-represents the same graph as the input word"
     elif args.kind == "split":
-        G = _load_graph(args.inputs[0])
-        if not (args.clique is not None and args.independent is not None):
-            raise CliError("split needs --clique and --independent")
-        P = SplitPartition(G, tuple(_split_list(args.clique)), tuple(_split_list(args.independent)))
+        P = SplitPartition(_load_graph(args.graph), tuple(args.clique), tuple(args.independent))
         word = split_word(P)
         claim = "permutational 1-11-representant"
     elif args.kind == "comp-ind":
-        G = _load_graph(args.inputs[0])
-        if not (args.comp is not None and args.independent is not None):
-            raise CliError("comp-ind needs --comp and --independent")
-        P = comp_ind_partition(G, _split_list(args.comp), _split_list(args.independent))
+        P = comp_ind_partition(_load_graph(args.graph), args.comp, args.independent)
         word = comp_plus_ind_word(P)
         claim = "permutational 1-11-representant"
     elif args.kind == "remove-edges":
-        G = _load_graph(args.inputs[0])
-        w = _load_word(args.inputs[1], G.labels)
-        parts = [_split_list(p) for p in args.part or []]
-        word = remove_edge_sets(G, w, parts, short=args.short)
+        G = _load_graph(args.graph)
+        word = remove_edge_sets(G, _load_word(args.word, G.labels), args.part, short=args.short)
         claim = "1-11-represents the graph minus the internal part edges"
-    elif args.kind == "remove-matching":
-        H = _load_graph(args.inputs[0])
-        if args.inputs[1:]:
-            w = _load_word(args.inputs[1], H.labels)
-        elif args.word is not None:
-            w = _load_word(args.word, H.labels)
-        else:
-            raise CliError("remove-matching needs a uniform representant word")
-        matching = [tuple(_split_list(e)) for e in args.edge or []]
-        for e in matching:
-            if len(e) != 2:
-                raise CliError("--edge needs exactly two endpoints")
-        word = remove_matching(H, matching, w, short=args.short)
+    else:  # remove-matching
+        H = _load_graph(args.graph)
+        word = remove_matching(H, args.edge, _load_word(args.word, H.labels), short=args.short)
         claim = "1-11-represents the graph without the matching"
-    else:
-        raise CliError(f"unknown construct kind {args.kind!r}")
     print(word.compact_str() if args.compact else str(word))
     print(f"verified: {claim}")
     print(after, end="")
@@ -276,7 +253,10 @@ def _cmd_census(args) -> int:
                 print(write_graph6(G), file=out)
     finally:
         if out not in (None, sys.stdout):
-            out.close()
+            try:
+                out.close()
+            except OSError as exc:  # a flush on close names no file
+                raise OSError(exc.errno, exc.strerror, args.emit_graph6) from exc
     return 0
 
 
@@ -293,23 +273,19 @@ def _cmd_catalog(args) -> int:
                 line += f"  ({detail})"
             print(line)
         return 0 if report.all_ok else 1
-    if args.action == "export":
-        if args.name is None:
-            raise CliError("usage: catalog export <name>")
-        entry = cat.get(args.name)
-        if args.format == "graph6":
-            print(write_graph6(entry.graph))
-        else:
-            print(fileio.print_graph(entry.graph), end="")
-        return 0
-    raise CliError(f"unknown catalog action {args.action!r}")
+    entry = cat.get(args.name)  # export
+    if args.format == "graph6":
+        print(write_graph6(entry.graph))
+    else:
+        print(fileio.print_graph(entry.graph), end="")
+    return 0
 
 
 # -- argument parsing --------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wordrep",
         description="Word-representation and k-11-representation toolkit",
     )
@@ -328,47 +304,65 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("orient", help="orientation checks and searches")
-    p.add_argument("action", choices=["check", "check-transitive", "search", "search-transitive", "paths"])
-    p.add_argument("rest", nargs="+", help="[arc-count] graph-or-orientation")
+    actions = p.add_subparsers(dest="action", required=True)
+    for action in ("check", "check-transitive", "search", "search-transitive"):
+        actions.add_parser(action).add_argument("target")
+    a = actions.add_parser("paths")
+    a.add_argument("arcs", type=int)
+    a.add_argument("target")
     p.set_defaults(func=_cmd_orient)
 
     p = sub.add_parser("construct", help="representant constructions (self-verified)")
-    p.add_argument(
-        "kind",
-        choices=["three-perm", "double", "remove-edges", "remove-matching", "split", "comp-ind", "mycielski-word"],
-    )
-    p.add_argument("inputs", nargs="*")
-    p.add_argument("--variant", choices=["ww", "rpw"], default="ww")
-    p.add_argument("--part", action="append")
-    p.add_argument("--edge", action="append")
-    p.add_argument("--word")
-    p.add_argument("--clique")
-    p.add_argument("--independent")
-    p.add_argument("--comp")
-    p.add_argument("--short", action="store_true")
-    p.add_argument("--compact", action="store_true")
+    kinds = p.add_subparsers(dest="kind", required=True)
+
+    def kind(name: str, *operands: str) -> argparse.ArgumentParser:
+        k = kinds.add_parser(name)
+        for operand in operands:
+            k.add_argument(operand)
+        k.add_argument("--compact", action="store_true")
+        return k
+
+    kind("mycielski-word").add_argument("n", type=int)
+    kind("three-perm", "file")
+    kind("double", "word").add_argument("--variant", choices=["ww", "rpw"], default="ww")
+    k = kind("split", "graph")
+    k.add_argument("--clique", type=_split_list, required=True)
+    k.add_argument("--independent", type=_split_list, required=True)
+    k = kind("comp-ind", "graph")
+    k.add_argument("--comp", type=_split_list, required=True)
+    k.add_argument("--independent", type=_split_list, required=True)
+    k = kind("remove-edges", "graph", "word")
+    k.add_argument("--part", type=_split_list, action="append", default=[])
+    k.add_argument("--short", action="store_true")
+    k = kind("remove-matching", "graph")
+    k.add_argument("--word", required=True)
+    k.add_argument("--edge", type=_edge, action="append", default=[])
+    k.add_argument("--short", action="store_true")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("census", help="classify small graphs by word-representability")
-    p.add_argument("n", type=int, nargs="?", default=6)
-    p.add_argument("--graph6", help="read graphs from a graph6 stream ('-' for stdin)")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("n", type=int, nargs="?", default=6)
+    source.add_argument("--graph6", help="read graphs from a graph6 stream ('-' for stdin)")
     p.add_argument("--emit-graph6", help="dump non-word-representable graphs ('-' for stdout)")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("catalog", help="named graphs and golden artifacts")
-    p.add_argument("action", choices=["list", "verify", "export"])
-    p.add_argument("name", nargs="?")
-    p.add_argument("--format", choices=["graphfile", "graph6"], default="graphfile")
+    actions = p.add_subparsers(dest="action", required=True)
+    actions.add_parser("list")
+    actions.add_parser("verify")
+    a = actions.add_parser("export")
+    a.add_argument("name")
+    a.add_argument("--format", choices=["graphfile", "graph6"], default="graphfile")
     p.set_defaults(func=_cmd_catalog)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"unknown: {exc}", file=sys.stderr)

@@ -145,8 +145,8 @@ def remove_matching(H: Graph, matching: Sequence[tuple[str, str]], w: Word, shor
             raise ValueError(f"matching edge {u}-{v} already present in the graph")
         used |= {u, v}
     G = Graph.from_edges(H.labels, H.edge_labels() + list(matching))
-    out = remove_edge_sets(G, w, [list(e) for e in matching], short=short)
-    return _verified(out, H, 1)
+    # the parts are the matching's pairs, so remove_edge_sets verifies against H itself
+    return remove_edge_sets(G, w, [list(e) for e in matching], short=short)
 
 
 # -- split graphs ------------------------------------------------------
@@ -154,11 +154,7 @@ def remove_matching(H: Graph, matching: Sequence[tuple[str, str]], w: Word, shor
 
 @dataclass(frozen=True)
 class SplitPartition:
-    """A split graph with an ordered clique A and independent set B.
-
-    ``nbhd(i)`` / ``non_nbhd(i)`` give a_i's neighbours / non-neighbours in
-    B, both in B order (1-based i, matching the a_1..a_k convention).
-    """
+    """A split graph with an ordered clique A and independent set B."""
 
     graph: Graph
     clique: tuple[str, ...]
@@ -172,16 +168,6 @@ class SplitPartition:
             raise ValueError("A is not a clique")
         if not G.is_independent_set(self.independent):
             raise ValueError("B is not an independent set")
-
-    def nbhd(self, i: int) -> list[str]:
-        a = self.clique[i - 1]
-        hits = self.graph.neighbors_in(a, self.independent)
-        return [b for b in self.independent if b in hits]
-
-    def non_nbhd(self, i: int) -> list[str]:
-        a = self.clique[i - 1]
-        hits = self.graph.neighbors_in(a, self.independent)
-        return [b for b in self.independent if b not in hits]
 
 
 def _split_blocks(G: Graph, A: list[str], B: list[str]) -> list[list[str]]:

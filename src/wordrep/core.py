@@ -316,14 +316,6 @@ def count_pattern_11(w: Word, x: str, y: str) -> int:
     return count
 
 
-def neighbors_in(G: Graph, v: str, among: Iterable[str]) -> set[str]:
-    return G.neighbors_in(v, among)
-
-
-def induced_subgraph(G: Graph, keep: Iterable[str]) -> Graph:
-    return G.induced_subgraph(keep)
-
-
 # -- small generators used throughout ---------------------------------
 
 

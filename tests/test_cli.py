@@ -1,7 +1,9 @@
 import errno
 import io
 import os
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,7 +212,8 @@ class TestConstruct:
             id="remove-edges-surplus",
         ),
         pytest.param(
-            ["remove-matching", "chvatal", "catalog:chvatal-augmented", "6", "--edge", "1,3", "--edge", "2,4"],
+            ["remove-matching", "chvatal", "--word", "catalog:chvatal-augmented", "6",
+             "--edge", "1,3", "--edge", "2,4"],
             id="remove-matching-surplus",
         ),
     ])
@@ -355,11 +358,13 @@ class TestFileErrors:
         captured = capsys.readouterr()
         assert "n=6: examined 112 graphs, 1 non-word-representable" in captured.out
         assert captured.err.startswith("error:") and os.strerror(errno.ENOSPC) in captured.err
+        assert "out.g6" in captured.err
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
     def test_emit_to_full_device_exit_2(self, capsys):
         assert main(["census", "6", "--emit-graph6", "/dev/full"]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "/dev/full" in err
 
     @pytest.mark.parametrize("argv", [
         ["verify", "{f}", "{f}"],
@@ -411,6 +416,69 @@ class TestCatalog:
     def test_export_without_name_exit_2(self, capsys):
         assert main(["catalog", "export"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestUsageErrors:
+    """Every usage error returns 2 with one error: line instead of raising SystemExit."""
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["construct", "nope"],
+        ["orient", "nope", "x"],
+    ], ids=["no-command", "construct-kind", "orient-action"])
+    def test_unknown_or_missing_command_exit_2(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: wordrep")
+
+    @pytest.mark.parametrize("argv, foreign", [
+        (["double", "catalog:chvatal-augmented"], ["--clique", "1"]),
+        (["mycielski-word", "5"], ["--part", "1,2"]),
+        (["split", "split-min", "--clique", "1,2,3,4", "--independent", "5,6,7,8"], ["--variant", "rpw"]),
+        (["remove-matching", "chvatal", "--word", "catalog:chvatal-augmented", "--edge", "1,3", "--edge", "2,4"],
+         ["--comp", "1"]),
+    ], ids=lambda v: v[0])
+    def test_flag_of_another_kind_exit_2(self, capsys, argv, foreign):
+        assert main(["construct", *argv]) == 0
+        capsys.readouterr()
+        assert main(["construct", *argv, *foreign]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+
+    def test_error_names_the_subcommand(self, capsys):
+        assert main(["construct", "split", "split-min"]) == 2
+        assert capsys.readouterr().err.startswith("error: wordrep construct split: ")
+
+    def test_census_takes_n_or_graph6(self, capsys, tmp_path):
+        from wordrep import catalog
+
+        stream = tmp_path / "w5.g6"
+        stream.write_text(write_graph6(catalog.get("w5").graph) + "\n")
+        assert main(["census", "7", "--graph6", str(stream)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "examined" not in captured.out
+
+    def test_kind_help_lists_its_own_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "split", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--clique" in out and "--compact" in out and "--part" not in out
+
+
+def _readme_cli_examples() -> list[list[str]]:
+    """The wordrep lines of README's CLI examples, continuations joined, comments stripped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI examples", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines if line.startswith("wordrep ")]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_examples(), ids=" ".join)
+def test_readme_cli_example_parses(argv):
+    cli.build_parser().parse_args(argv[1:])
 
 
 class TestVersion:

@@ -6,6 +6,7 @@ import pytest
 
 from oracles import reference_comparability_perm_rep, relabelled
 
+from wordrep import construct
 from wordrep.catalog import get
 from wordrep.construct import (
     CompIndPartition,
@@ -135,6 +136,20 @@ class TestRemoveMatching:
         with pytest.raises(ValueError, match="not a matching"):
             remove_matching(P4, [("1", "4"), ("1", "3")], Word.compact("12413423"))
 
+    def test_verifies_its_word_once(self, monkeypatch):
+        # remove_edge_sets checks its word against G minus the matching, which is H
+        levels = []
+
+        def spy(w, G, k):
+            levels.append(k)
+            return verify_k11(w, G, k)
+
+        monkeypatch.setattr(construct, "verify_k11", spy)
+        H = get("chvatal").graph
+        out = remove_matching(H, [("1", "3"), ("2", "4")], get("chvatal-augmented").golden_words[0][0])
+        assert levels.count(1) == 1
+        assert verify_k11(out, H, 1)
+
 
 def _split_min_partition() -> SplitPartition:
     entry = get("split-min")
@@ -142,15 +157,6 @@ def _split_min_partition() -> SplitPartition:
 
 
 class TestSplit:
-    def test_partition_neighbourhoods(self):
-        P = _split_min_partition()
-        assert P.nbhd(1) == ["5", "8"]
-        assert P.nbhd(2) == ["5", "6", "7", "8"]
-        assert P.nbhd(3) == ["6", "7"]
-        assert P.nbhd(4) == ["7", "8"]
-        assert P.non_nbhd(1) == ["6", "7"]
-        assert P.non_nbhd(4) == ["5", "6"]
-
     def test_partition_validation(self):
         G = _split_min_partition().graph
         with pytest.raises(ValueError, match="partition"):
