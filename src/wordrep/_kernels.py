@@ -5,7 +5,7 @@ The extension (``_ext.c``, written against the CPython C API) works on
 graphs with more than 64 vertices (only the word-counting kernel ever sees
 such inputs in practice).
 
-``add_arc`` and ``add_transitive_arc`` run pure on both backends.
+``add_arc``, ``add_transitive_arc`` and ``transpose`` run pure on both backends.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ except ImportError:  # pragma: no cover - depends on build environment
 pair_index = _py.pair_index
 add_arc = _py.add_arc
 add_transitive_arc = _py.add_transitive_arc
+transpose = _py.transpose
 
 
 def word_pair_counts(letters, n):

@@ -39,46 +39,48 @@ def word_pair_counts(letters, n):
     return counts
 
 
+def transpose(masks):
+    """The reversed relation: bit a of ``out[b]`` is bit b of ``masks[a]``.
+
+    Turns descendant masks into ancestor masks, successors into
+    predecessors.  A bit at ``len(masks)`` or above raises IndexError.
+    """
+    out = [0] * len(masks)
+    for a, m in enumerate(masks):
+        bit = 1 << a
+        while m:
+            low = m & -m
+            out[low.bit_length() - 1] |= bit
+            m ^= low
+    return out
+
+
 def descendants(n, succ):
     """Strict-descendant bitmasks of a DAG given successor bitmasks.
 
+    Kahn's algorithm; ``order`` is its queue and grows while it is walked.
     Raises ValueError on a directed cycle.
     """
-    indeg = [0] * n
-    for i in range(n):
-        m = succ[i]
-        j = 0
-        while m:
-            if m & 1:
-                indeg[j] += 1
-            m >>= 1
-            j += 1
+    indeg = [m.bit_count() for m in transpose(succ[:n])]
     order = [i for i in range(n) if indeg[i] == 0]
-    head = 0
-    while head < len(order):
-        i = order[head]
-        head += 1
+    for i in order:
         m = succ[i]
-        j = 0
         while m:
-            if m & 1:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    order.append(j)
-            m >>= 1
-            j += 1
+            low = m & -m
+            m ^= low
+            j = low.bit_length() - 1
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                order.append(j)
     if len(order) != n:
         raise ValueError("directed cycle")
     desc = [0] * n
     for i in reversed(order):
-        d = succ[i]
-        m = succ[i]
-        j = 0
+        d = m = succ[i]
         while m:
-            if m & 1:
-                d |= desc[j]
-            m >>= 1
-            j += 1
+            low = m & -m
+            m ^= low
+            d |= desc[low.bit_length() - 1]
         desc[i] = d
     return desc
 
@@ -101,34 +103,23 @@ def forced_shortcut_pair(n, succ, adj):
     get oriented.  Returns (a, b, u, w) or None.  Requires ``succ`` acyclic.
     """
     desc = descendants(n, succ)
-    anc = [0] * n
-    for i in range(n):
-        m = desc[i]
-        j = 0
-        while m:
-            if m & 1:
-                anc[j] |= 1 << i
-            m >>= 1
-            j += 1
+    anc = transpose(desc)
     for a in range(n):
-        m = succ[a]
-        b = 0
-        while m:
-            if m & 1:
-                between = (desc[a] & anc[b]) | (1 << a) | (1 << b)
-                mu = between
-                u = 0
-                while mu:
-                    if mu & 1:
-                        bad = desc[u] & between & ~adj[u] & ~(1 << u)
-                        if bad:
-                            # lowest such w, for determinism
-                            w = (bad & -bad).bit_length() - 1
-                            return (a, b, u, w)
-                    mu >>= 1
-                    u += 1
-            m >>= 1
-            b += 1
+        mb = succ[a]
+        while mb:
+            lowb = mb & -mb
+            mb ^= lowb
+            b = lowb.bit_length() - 1
+            between = (desc[a] & anc[b]) | (1 << a) | lowb
+            mu = between
+            while mu:
+                lowu = mu & -mu
+                mu ^= lowu
+                u = lowu.bit_length() - 1
+                bad = desc[u] & between & ~adj[u] & ~lowu
+                if bad:
+                    # lowest such w, for determinism
+                    return (a, b, u, (bad & -bad).bit_length() - 1)
     return None
 
 

@@ -109,10 +109,7 @@ def _load_orientation(spec: str) -> Orientation:
 
 def _load_words(spec: str, alphabet: tuple[str, ...] | None, count: int) -> list[Word]:
     """Exactly ``count`` words from a file; with no alphabet, its tokens in first-seen order."""
-    text = _read(spec)
-    if alphabet is None:
-        alphabet = tuple(dict.fromkeys(text.split()))
-    words = fileio.parse_words(text, alphabet)
+    words = fileio.parse_words(_read(spec), alphabet)
     if len(words) != count:
         raise CliError(f"expected exactly {count} word(s) in {spec!r}, found {len(words)}")
     return words

@@ -21,6 +21,7 @@ from .core import (
     initial_permutation,
     reverse,
 )
+from ._kernels import transpose
 from .orient import Orientation, is_transitive, search_transitive
 from .verify import graph_of_word, uniformity, verify_k11
 
@@ -218,7 +219,7 @@ def comparability_perm_rep(D: Orientation) -> list[Permutation]:
         raise ValueError("orientation is not transitive")
     G = D.base
     n = G.n
-    pred = [sum(1 << i for i in range(n) if D.succ[i] >> j & 1) for j in range(n)]
+    pred = transpose(D.succ)
 
     def lin_ext(extra: Optional[tuple[int, int]] = None) -> list[int]:
         need = list(pred)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from . import _kernels
 
@@ -110,16 +110,8 @@ class Graph:
         return self.has_edge(self.idx(u), self.idx(v))
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for i in range(self.n):
-            m = self.adj[i] >> (i + 1)
-            j = i + 1
-            while m:
-                if m & 1:
-                    out.append((i, j))
-                m >>= 1
-                j += 1
-        return out
+        """Index pairs (i, j), i < j, by i and then j."""
+        return [(i, j) for i, m in enumerate(self.adj) for j in iter_mask(m >> i + 1 << i + 1)]
 
     def edge_labels(self) -> list[tuple[str, str]]:
         return [(self.labels[i], self.labels[j]) for i, j in self.edges()]
@@ -285,16 +277,17 @@ def induced_subword(w: Word, x: str, y: str) -> Word:
 
 def initial_permutation(w: Word) -> Permutation:
     """Leftmost occurrences of the letters in order of first appearance."""
-    seen = set()
-    out = []
-    for a in w.letters:
-        if a not in seen:
-            seen.add(a)
-            out.append(a)
-    if len(seen) != len(w.alphabet):
-        missing = sorted(set(w.alphabet) - {w.alphabet[a] for a in seen})
+    out = tuple(dict.fromkeys(w.letters))
+    _check_every_letter_occurs(w, out)
+    return Word(w.alphabet, out)
+
+
+def _check_every_letter_occurs(w: Word, present: Collection[int]) -> None:
+    """Raise ValueError naming the alphabet letters missing from ``present``,
+    the distinct letter indices of ``w``."""
+    if len(present) != len(w.alphabet):
+        missing = sorted(set(w.alphabet) - {w.alphabet[a] for a in present})
         raise ValueError(f"letters never occur: {missing}")
-    return Word(w.alphabet, tuple(out))
 
 
 def reverse(w: Word) -> Word:
@@ -366,13 +359,11 @@ def _induces_connected(adj: Sequence[int], keep: int) -> bool:
 
 
 def iter_mask(mask: int) -> Iterator[int]:
-    """Indices of set bits, ascending."""
-    i = 0
+    """Indices of set bits, ascending: the lowest set bit each time."""
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # -- canonical form ----------------------------------------------------

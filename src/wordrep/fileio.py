@@ -74,9 +74,13 @@ def print_orientation(D: Orientation) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_words(text: str, alphabet: tuple[str, ...]) -> list[Word]:
+def parse_words(text: str, alphabet: tuple[str, ...] | None = None) -> list[Word]:
+    """One word per line; with no alphabet, the tokens in first-seen order."""
+    lines = list(_lines(text))
+    if alphabet is None:
+        alphabet = tuple(dict.fromkeys(tok for _, line in lines for tok in line.split()))
     words = []
-    for lineno, line in _lines(text):
+    for lineno, line in lines:
         try:
             words.append(Word.from_labels(alphabet, line.split()))
         except ValueError as exc:

@@ -244,11 +244,7 @@ def _search(G: Graph, max_nodes: Optional[int], add_rule, start=None) -> Optiona
 def _reachability(succ: Sequence[int]) -> tuple[list[int], list[int]]:
     """Strict descendant and ancestor masks of an acyclic orientation."""
     desc = _kernels.descendants(len(succ), succ)
-    anc = [0] * len(succ)
-    for a, mask in enumerate(desc):
-        for b in iter_mask(mask):
-            anc[b] |= 1 << a
-    return desc, anc
+    return desc, _kernels.transpose(desc)
 
 
 def search_semi_transitive(G: Graph, max_nodes: Optional[int] = None) -> Optional[Orientation]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import _kernels
-from .core import Graph, Word, canonical_form, induced_subword
+from .core import Graph, Word, _check_every_letter_occurs, canonical_form, induced_subword
 
 
 @dataclass(frozen=True)
@@ -42,10 +42,7 @@ def pattern_counts(w: Word) -> list[int]:
 
 def _counts_of_full_word(w: Word) -> list[int]:
     """pattern_counts(w), after checking that every alphabet letter occurs."""
-    present = set(w.letters)
-    if len(present) != len(w.alphabet):
-        missing = sorted(set(w.alphabet) - {w.alphabet[a] for a in present})
-        raise ValueError(f"letters never occur: {missing}")
+    _check_every_letter_occurs(w, set(w.letters))
     return pattern_counts(w)
 
 

@@ -195,6 +195,20 @@ class TestConstruct:
         G = parse_graph(out[out.index("vertices:"):])
         assert not G.has_edge_labels("1", "2")
 
+    @pytest.mark.parametrize("kind, commented, plain", [
+        ("three-perm", "# three permutations of 1..3\n1 2 3\n3 2 1\n1 2 3\n", "1 2 3\n3 2 1\n1 2 3\n"),
+        ("double", "1 2 1 2 # alternating\n", "1 2 1 2\n"),
+    ])
+    def test_word_file_comments_ignored(self, capsys, tmp_path, kind, commented, plain):
+        # a comment's words are no letters of the alphabet read from the file
+        outputs = []
+        for name, text in (("commented.txt", commented), ("plain.txt", plain)):
+            p = tmp_path / name
+            p.write_text(text)
+            assert main(["construct", kind, str(p)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("argv", [
         ["mycielski-word"], ["three-perm"], ["double"], ["split"], ["comp-ind"],
         ["remove-edges", "graph12"], ["remove-matching"],

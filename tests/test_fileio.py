@@ -78,3 +78,8 @@ class TestWordFiles:
     def test_comments_skipped(self):
         out = parse_words("# header\n1 2\n\n2 1\n", ("1", "2"))
         assert len(out) == 2
+
+    def test_alphabet_from_tokens_skips_comments(self):
+        out = parse_words("# header a b\n3 1 # tail\n1 2 3\n")
+        assert [w.alphabet for w in out] == [("3", "1", "2")] * 2
+        assert [str(w) for w in out] == ["3 1", "1 2 3"]

@@ -1,5 +1,6 @@
 """Parity between the pure-Python kernels and the compiled extension."""
 
+import ast
 import importlib.util
 import random
 import shutil
@@ -76,6 +77,22 @@ def _random_dag_succ(rng, n):
     return succ
 
 
+def _permuted_masks(masks, perm):
+    """The relation of ``masks`` with each index i renamed perm[i]."""
+    out = [0] * len(masks)
+    for i, m in enumerate(masks):
+        for j in range(len(masks)):
+            if m >> j & 1:
+                out[perm[i]] |= 1 << perm[j]
+    return out
+
+
+def _random_perm(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return perm
+
+
 def test_pair_index_is_dense_upper_triangle():
     n = 6
     seen = sorted(_kernels.pair_index(i, j, n) for i in range(n) for j in range(i + 1, n))
@@ -148,6 +165,12 @@ def test_dag_kernels_parity(ext):
         ext.descendants(3, succ)
     with pytest.raises(ValueError):
         _kernels_py.descendants(3, succ)
+    # relabelled DAGs, whose Kahn order is not the index order
+    for _ in range(200):
+        n = rng.randrange(1, 13)
+        succ = _permuted_masks(_random_dag_succ(rng, n), _random_perm(rng, n))
+        assert ext.is_dag(n, succ) == _kernels_py.is_dag(n, succ) is True
+        assert ext.descendants(n, succ) == _kernels_py.descendants(n, succ)
 
 
 def test_forced_shortcut_pair_parity(ext):
@@ -168,6 +191,74 @@ def test_forced_shortcut_pair_parity(ext):
         assert ext.forced_shortcut_pair(n, succ, list(G.adj)) == _kernels_py.forced_shortcut_pair(
             n, succ, list(G.adj)
         )
+    # the same kind of partial orientations with the vertices relabelled
+    for _ in range(300):
+        n = rng.randrange(2, 13)
+        G = _random_graph(rng, n)
+        succ = [0] * n
+        for i, j in G.edges():
+            if rng.random() < 0.6:
+                succ[i] |= 1 << j
+        perm = _random_perm(rng, n)
+        succ, adj = _permuted_masks(succ, perm), _permuted_masks(G.adj, perm)
+        assert ext.forced_shortcut_pair(n, succ, adj) == _kernels_py.forced_shortcut_pair(n, succ, adj)
+    # each edge oriented either way: cyclic ones raise on both backends
+    cyclic = 0
+    for _ in range(300):
+        n = rng.randrange(3, 10)
+        G = _random_graph(rng, n)
+        succ = [0] * n
+        for i, j in G.edges():
+            if rng.random() < 0.5:
+                succ[i] |= 1 << j
+            else:
+                succ[j] |= 1 << i
+        if _kernels_py.is_dag(n, succ):
+            assert ext.forced_shortcut_pair(n, succ, list(G.adj)) == _kernels_py.forced_shortcut_pair(
+                n, succ, list(G.adj)
+            )
+            continue
+        cyclic += 1
+        with pytest.raises(ValueError):
+            ext.forced_shortcut_pair(n, succ, list(G.adj))
+        with pytest.raises(ValueError):
+            _kernels_py.forced_shortcut_pair(n, succ, list(G.adj))
+    assert cyclic >= 50
+
+
+def test_transpose():
+    rng = random.Random(43)
+    for _ in range(200):
+        n = rng.randrange(0, 13)
+        masks = [rng.getrandbits(n) for _ in range(n)]
+        out = _kernels_py.transpose(masks)
+        assert out == [sum(1 << a for a in range(n) if masks[a] >> b & 1) for b in range(n)]
+        assert _kernels_py.transpose(out) == masks
+    assert _kernels.transpose is _kernels_py.transpose
+    with pytest.raises(IndexError):
+        _kernels_py.transpose([0b100, 0])
+
+
+def _perfbench_kernel_names():
+    """``KERNELS`` of perfbench/spans.py, read from its source: the names it
+    looks up on ``wordrep._kernels_py`` and on a loaded ``wordrep._ext``."""
+    source = Path(__file__).parents[1] / "perfbench" / "spans.py"
+    for node in ast.parse(source.read_text()).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["KERNELS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/spans.py declares no KERNELS")
+
+
+def test_perfbench_kernel_names_exist_in_pure_backend():
+    names = _perfbench_kernel_names()
+    assert names
+    for name in names:
+        assert callable(getattr(_kernels_py, name, None)), name
+
+
+def test_perfbench_kernel_names_exist_in_extension(ext):
+    for name in _perfbench_kernel_names():
+        assert callable(getattr(ext, name, None)), name
 
 
 def test_canonical_min_bits_parity(ext):
