@@ -237,7 +237,9 @@ def _cmd_census(args) -> int:
     if args.emit_graph6 == "-":
         out = sys.stdout
     elif args.emit_graph6:
-        out = open(args.emit_graph6, "w")  # before the census, so that a bad path fails at once
+        # before the census, so that a bad path fails at once; appending keeps
+        # what the file holds until the census has succeeded
+        out = open(args.emit_graph6, "a")
     try:
         if args.graph6 is not None:
             result = census_from_graph6(lines, jobs=args.jobs)
@@ -246,6 +248,8 @@ def _cmd_census(args) -> int:
         print(f"n={result.n}: examined {result.examined} graphs, "
               f"{len(result.non_word_representable)} non-word-representable")
         if out is not None:
+            if out is not sys.stdout and os.path.isfile(args.emit_graph6):
+                out.truncate(0)  # a pipe or a device cannot be truncated
             for G in result.non_word_representable:
                 print(write_graph6(G), file=out)
     finally:

@@ -55,10 +55,8 @@ class Graph:
                 raise ValueError("edge endpoint out of range")
             if m >> i & 1:
                 raise ValueError(f"self-loop at {self.labels[i]}")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (self.adj[i] >> j & 1) != (self.adj[j] >> i & 1):
-                    raise ValueError("asymmetric adjacency")
+        if _kernels.transpose(self.adj) != list(self.adj):
+            raise ValueError("asymmetric adjacency")
 
     # -- construction -------------------------------------------------
 
@@ -134,15 +132,13 @@ class Graph:
     # -- derived graphs ------------------------------------------------
 
     def induced_subgraph(self, keep: Iterable[str]) -> "Graph":
-        keep_set = set(keep)
-        for lab in keep_set:
-            self.idx(lab)
-        labels = tuple(lab for lab in self.labels if lab in keep_set)
-        sub = Graph.from_edges(
-            labels,
-            [(u, v) for u, v in self.edge_labels() if u in keep_set and v in keep_set],
-        )
-        return sub
+        mask = 0
+        for lab in keep:
+            mask |= 1 << self.idx(lab)
+        kept = list(iter_mask(mask))
+        at = {v: k for k, v in enumerate(kept)}
+        adj = [sum(1 << at[j] for j in iter_mask(self.adj[i] & mask)) for i in kept]
+        return Graph(tuple(self.labels[i] for i in kept), tuple(adj))
 
     def delete_vertex(self, label: str) -> "Graph":
         self.idx(label)
@@ -150,12 +146,8 @@ class Graph:
 
     def neighbors_in(self, v: str, among: Iterable[str]) -> set[str]:
         """Members of ``among`` adjacent to ``v``."""
-        vi = self.idx(v)
-        out = set()
-        for lab in among:
-            if self.has_edge(vi, self.idx(lab)):
-                out.add(lab)
-        return out
+        nbrs = self.adj[self.idx(v)]
+        return {lab for lab in among if nbrs >> self.idx(lab) & 1}
 
     def is_clique(self, verts: Iterable[str]) -> bool:
         idxs = [self.idx(v) for v in verts]

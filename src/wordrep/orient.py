@@ -10,7 +10,7 @@ survives in the tests as an independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import _kernels
@@ -29,19 +29,20 @@ class Orientation:
     succ: tuple[int, ...]
 
     def __post_init__(self):
-        n = self.base.n
-        if len(self.succ) != n:
+        adj, labels = self.base.adj, self.base.labels
+        if len(self.succ) != len(adj):
             raise ValueError("succ size mismatch")
-        for i in range(n):
-            if self.succ[i] & ~self.base.adj[i]:
-                raise ValueError("arc without a base edge")
-        for i, j in self.base.edges():
-            fwd = self.succ[i] >> j & 1
-            bwd = self.succ[j] >> i & 1
-            if fwd + bwd != 1:
+        if any(s & ~a for s, a in zip(self.succ, adj)):
+            raise ValueError("arc without a base edge")
+        # every arc is on an edge, so succ | pred == adj and succ & pred == 0
+        # read adj ^ succ ^ pred == 0; its bits are symmetric, so the lowest
+        # bit of its first nonzero row is the first bad edge (i, j), i < j
+        for i, (a, s, p) in enumerate(zip(adj, self.succ, _kernels.transpose(self.succ))):
+            if bad := a ^ s ^ p:
+                j = (bad & -bad).bit_length() - 1
                 raise ValueError(
-                    f"edge {self.base.labels[i]}-{self.base.labels[j]} "
-                    f"{'unoriented' if fwd + bwd == 0 else 'oriented both ways'}"
+                    f"edge {labels[i]}-{labels[j]} "
+                    f"{'oriented both ways' if s >> j & 1 else 'unoriented'}"
                 )
 
     @classmethod
@@ -77,28 +78,6 @@ def is_acyclic(D: Orientation) -> bool:
     return _kernels.is_dag(D.base.n, D.succ)
 
 
-def _arc_path(D: Orientation, src: int, dst: int) -> list[int]:
-    """Some directed path src ~> dst (BFS over arcs); src == dst allowed."""
-    if src == dst:
-        return [src]
-    prev = {src: None}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in iter_mask(D.succ[u]):
-                if v not in prev:
-                    prev[v] = u
-                    if v == dst:
-                        path = [dst]
-                        while prev[path[-1]] is not None:
-                            path.append(prev[path[-1]])
-                        return path[::-1]
-                    nxt.append(v)
-        frontier = nxt
-    raise ValueError("no directed path")  # caller guarantees reachability
-
-
 def find_shortcut(D: Orientation) -> Optional[ShortcutWitness]:
     """A shortcut witness, or None if the (acyclic) orientation has none."""
     if not is_acyclic(D):
@@ -107,10 +86,12 @@ def find_shortcut(D: Orientation) -> Optional[ShortcutWitness]:
     if hit is None:
         return None
     a, b, u, w = hit
-    p1 = _arc_path(D, a, u)
-    p2 = _arc_path(D, u, w)
-    p3 = _arc_path(D, w, b)
-    path = p1 + p2[1:] + p3[1:]
+    anc = _reachability(D.succ)[1]
+    path = [a]
+    for t in (u, w, b):  # each step: the lowest successor that is t or reaches it
+        while path[-1] != t:
+            m = D.succ[path[-1]] & (anc[t] | 1 << t)
+            path.append((m & -m).bit_length() - 1)
     labels = D.base.labels
     return ShortcutWitness(tuple(labels[v] for v in path), (labels[u], labels[w]))
 
@@ -201,7 +182,9 @@ def _search(G: Graph, max_nodes: Optional[int], add_rule, start=None) -> Optiona
     v->u, and alone on the first edge.  ``add_rule(n, succ, adj, desc, anc,
     x, y)`` sees x->y in ``succ`` and the reachability before it, and
     returns None to prune, else the reachability with x->y.  A node is the
-    root or an accepted arc; each ticks the budget once.
+    root or an accepted arc; each ticks the budget once.  Each stack entry
+    carries the masks it extends: a popped entry copies ``succ``, as
+    ``add_rule`` copies ``desc`` and ``anc``, so backtracking undoes nothing.
 
     ``start = (succ, desc, anc, edges)`` extends an orientation instead: the
     successor masks and reachability of arcs on every edge but ``edges``,
@@ -216,28 +199,26 @@ def _search(G: Graph, max_nodes: Optional[int], add_rule, start=None) -> Optiona
         budget.tick()
     else:
         succ, desc, anc, edges = start
-        succ = list(succ)
     if not edges:
-        return succ
+        return list(succ)
     u, v = edges[0]
-    todo = [(0, u, v, desc, anc)]  # arcs to try, next on top: k, x, y, desc, anc
+    # arcs to try, next on top: x->y on edges[k], with the succ, desc and
+    # anc of the arcs on edges[:k]
+    todo = [(0, u, v, succ, desc, anc)]
     if start is not None:
-        todo.insert(0, (0, v, u, desc, anc))
-    held = 0  # succ holds an arc on each of edges[:held]
+        todo.insert(0, (0, v, u, succ, desc, anc))
     while todo:
-        k, x, y, desc, anc = todo.pop()
-        for u, v in edges[k:held]:
-            succ[u] &= ~(1 << v)
-            succ[v] &= ~(1 << u)
+        k, x, y, succ, desc, anc = todo.pop()
+        succ = list(succ)
         succ[x] |= 1 << y
-        held = k + 1
         reach = add_rule(n, succ, G.adj, desc, anc, x, y)
         if reach is not None:
             budget.tick()
-            if held == len(edges):
+            k += 1
+            if k == len(edges):
                 return succ
-            u, v = edges[held]
-            todo += [(held, v, u, *reach), (held, u, v, *reach)]
+            u, v = edges[k]
+            todo += [(k, v, u, succ, *reach), (k, u, v, succ, *reach)]
     return None
 
 

@@ -8,6 +8,7 @@ BudgetExceeded and never conflated with "nonexistent".
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -424,10 +425,13 @@ def _full_orientations(n: int, forms: list[int], pool) -> list[Optional[tuple[in
 
 
 def _pool(jobs: int):
-    """A pool of ``jobs`` worker processes, or, for one job, no pool (None)."""
+    """A pool of ``jobs`` worker processes, at most one per CPU, or, for one
+    worker, no pool (None).  Under ``fork`` an executor starts all its
+    workers on the first submit, however few tasks there are."""
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    return ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext()
+    workers = min(jobs, os.cpu_count() or 1)
+    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
 
 
 def _census_result(n: int, verdicts: dict[int, bool]) -> CensusResult:

@@ -46,6 +46,43 @@ def all_orientations(G: Graph):
         yield Orientation(G, tuple(succ))
 
 
+def reference_orientation_check(base: Graph, succ) -> None:
+    """The checks of ``Orientation.__post_init__`` as a loop over
+    ``Graph.edges()``: the same ValueErrors, the first bad edge by i, then j."""
+    n = base.n
+    if len(succ) != n:
+        raise ValueError("succ size mismatch")
+    for i in range(n):
+        if succ[i] & ~base.adj[i]:
+            raise ValueError("arc without a base edge")
+    for i, j in base.edges():
+        fwd = succ[i] >> j & 1
+        bwd = succ[j] >> i & 1
+        if fwd + bwd != 1:
+            raise ValueError(
+                f"edge {base.labels[i]}-{base.labels[j]} "
+                f"{'unoriented' if fwd + bwd == 0 else 'oriented both ways'}"
+            )
+
+
+def reference_adjacency_check(labels, adj) -> None:
+    """The adjacency checks of ``Graph.__post_init__`` (labels aside), with
+    symmetry tested pair by pair."""
+    n = len(labels)
+    if len(adj) != n:
+        raise ValueError("adjacency size mismatch")
+    full = (1 << n) - 1
+    for i, m in enumerate(adj):
+        if m & ~full:
+            raise ValueError("edge endpoint out of range")
+        if m >> i & 1:
+            raise ValueError(f"self-loop at {labels[i]}")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (adj[i] >> j & 1) != (adj[j] >> i & 1):
+                raise ValueError("asymmetric adjacency")
+
+
 def _has_cycle(D: Orientation) -> bool:
     n = D.base.n
     color = [0] * n  # 0 unseen, 1 on stack, 2 done

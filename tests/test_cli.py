@@ -317,6 +317,34 @@ class TestCensus:
         assert captured.err.startswith("error:") and "examined" not in captured.out
         assert calls == []
 
+    @pytest.mark.parametrize("argv", [
+        ["census", "9"],
+        ["census", "5", "--jobs", "0"],
+        ["census", "--graph6", "{malformed}"],
+    ], ids=["n-out-of-range", "jobs-zero", "malformed-graph6"])
+    def test_failed_census_keeps_the_emit_file(self, capsys, tmp_path, argv):
+        malformed = tmp_path / "bad.g6"
+        malformed.write_text("=?\n")
+        kept = tmp_path / "kept.g6"
+        kept.write_text("ELrw\n")
+        argv = [arg.format(malformed=malformed) for arg in argv]
+        assert main(argv + ["--emit-graph6", str(kept)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert kept.read_text() == "ELrw\n"
+
+    def test_census_replaces_the_emit_file(self, capsys, tmp_path):
+        out_file = tmp_path / "old.g6"
+        out_file.write_text("Bw\nBw\nBw\n")
+        assert main(["census", "6", "--emit-graph6", str(out_file)]) == 0
+        assert out_file.read_text() == "ELrw\n"
+
+    def test_emit_to_stdout_ignores_a_file_named_dash(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "-").write_text("kept\n")
+        assert main(["census", "6", "--emit-graph6", "-"]) == 0
+        assert capsys.readouterr().out == "n=6: examined 112 graphs, 1 non-word-representable\nELrw\n"
+        assert (tmp_path / "-").read_text() == "kept\n"
+
     def test_missing_graph6_stream_exit_2(self, capsys, tmp_path):
         assert main(["census", "--graph6", str(tmp_path / "missing.g6")]) == 2
         assert capsys.readouterr().err.startswith("error:")

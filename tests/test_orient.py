@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -6,11 +7,13 @@ from oracles import (
     all_orientations,
     exhaustive_semi_transitive,
     exhaustive_transitive,
+    reference_adjacency_check,
+    reference_orientation_check,
     relabelled,
     slow_search_semi_transitive,
     slow_search_transitive,
 )
-from wordrep import catalog
+from wordrep import _kernels, catalog
 from wordrep.core import Graph, complete_graph, cycle_graph, path_graph
 from wordrep.orient import (
     BudgetExceeded,
@@ -62,6 +65,68 @@ class TestOrientation:
             Orientation.from_arcs(path_graph(("a", "b")), [("a", "b"), ("b", "a")])
 
 
+def _error(make):
+    """(type, message) of what ``make()`` raises, or None."""
+    try:
+        make()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _random_graph(rng, n: int, p: float) -> Graph:
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    return Graph.from_index_edges(tuple(f"v{i}" for i in range(n)), pairs)
+
+
+class TestValidationParity:
+    """Orientation and Graph reject broken masks as the loops of
+    ``tests/oracles.py`` do: same type, message and first reported edge."""
+
+    def test_orientation_errors(self):
+        rng = random.Random(18)
+        seen = Counter()
+        for _ in range(800):
+            G = _random_graph(rng, rng.randint(2, 9), 0.5)
+            n, edges = G.n, G.edges()
+            non_edges = [(i, j) for i in range(n) for j in range(n) if i != j and not G.has_edge(i, j)]
+            succ = [0] * n
+            for i, j in edges:
+                i, j = rng.choice(((i, j), (j, i)))
+                succ[i] |= 1 << j
+            for _ in range(rng.randint(0, 3)):
+                kind = rng.choice(("both", "neither", "no edge"))
+                if kind == "no edge" and non_edges:
+                    i, j = rng.choice(non_edges)
+                    succ[i] |= 1 << j
+                elif kind != "no edge" and edges:
+                    i, j = rng.choice(edges)
+                    both = kind == "both"
+                    succ[i] = succ[i] & ~(1 << j) | both << j
+                    succ[j] = succ[j] & ~(1 << i) | both << i
+            if rng.random() < 0.05:
+                succ.append(0)
+            want = _error(lambda: reference_orientation_check(G, succ))
+            assert _error(lambda: Orientation(G, tuple(succ))) == want
+            seen[want and want[1].split()[-1]] += 1
+        assert min(seen[k] for k in (None, "edge", "unoriented", "ways", "mismatch")) >= 30, seen
+
+    def test_adjacency_errors(self):
+        rng = random.Random(18)
+        seen = Counter()
+        for _ in range(800):
+            G = _random_graph(rng, rng.randint(1, 9), 0.5)
+            n, adj = G.n, list(G.adj)
+            for _ in range(rng.randint(0, 2)):
+                i, j = rng.randrange(n), rng.randrange(n + (rng.random() < 0.15))
+                if i != j or rng.random() < 0.3:
+                    adj[i] ^= 1 << j
+            want = _error(lambda: reference_adjacency_check(G.labels, adj))
+            assert _error(lambda: Graph(G.labels, tuple(adj))) == want
+            seen[want and want[1].split()[0]] += 1
+        assert min(seen[k] for k in (None, "asymmetric", "self-loop", "edge")) >= 20, seen
+
+
 class TestChecks:
     def test_acyclic(self):
         C3 = cycle_graph(("1", "2", "3"))
@@ -81,6 +146,34 @@ class TestChecks:
         assert len(w.path) >= 4
         assert set(w.missing) == {"2", "4"}
         assert not D.base.has_edge_labels(*w.missing)
+
+    def test_find_shortcut_witness_is_a_shortcut_path(self):
+        # acyclic orientations by a random vertex order, n = 5..10: the path
+        # is directed, runs from a to b along the arc a->b that the kernel
+        # reports, and visits its non-adjacent pair u, then w
+        rng = random.Random(18)
+        checked = 0
+        for _ in range(1500):
+            G = _random_graph(rng, rng.randint(5, 10), 0.6)
+            rank = rng.sample(range(G.n), G.n)
+            succ = [0] * G.n
+            for i, j in G.edges():
+                i, j = (i, j) if rank[i] < rank[j] else (j, i)
+                succ[i] |= 1 << j
+            D = Orientation(G, tuple(succ))
+            if is_semi_transitive(D):
+                continue
+            w = find_shortcut(D)
+            path = [G.idx(lab) for lab in w.path]
+            u, x = (G.idx(lab) for lab in w.missing)
+            a, b, ku, kw = _kernels.forced_shortcut_pair(G.n, D.succ, G.adj)
+            assert (path[0], path[-1], u, x) == (a, b, ku, kw)
+            assert all(succ[p] >> q & 1 for p, q in zip(path, path[1:]))
+            assert succ[a] >> b & 1 and not G.has_edge(u, x)
+            assert len(set(path)) == len(path) >= 4
+            assert path.index(u) < path.index(x)
+            checked += 1
+        assert checked >= 1000, checked
 
     def test_find_shortcut_none(self):
         D = Orientation.from_arcs(

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from contextlib import nullcontext
 
 import pytest
 
@@ -509,6 +510,33 @@ class TestCensus:
         split = tuple(kinds[7, kind] for kind in ("extended", "sole", "inherited", "searched"))
         assert split == (293, 510, 8, 42)
         assert census_non_word_representable(1) == search.CensusResult(1, 1, ())
+
+    def test_pool_has_at_most_one_worker_per_cpu(self, monkeypatch):
+        # under fork an executor starts all its workers on the first submit
+        class FakeExecutor:
+            workers = []
+
+            def __init__(self, max_workers):
+                self.workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", FakeExecutor)
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+        assert census_non_word_representable(6, jobs=64) == census_non_word_representable(6)
+        assert FakeExecutor.workers == [3]
+        with search._pool(2):
+            assert FakeExecutor.workers == [3, 2]
+        monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+        assert isinstance(search._pool(64), nullcontext)
+        assert FakeExecutor.workers == [3, 2]
 
     def test_grown_verdicts_identical_across_jobs(self):
         assert search._grown_verdicts(7, 2) == search._grown_verdicts(7, 1)
