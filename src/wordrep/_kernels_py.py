@@ -1,7 +1,9 @@
 """Pure-Python implementations of the hot kernels.
 
-These are the reference implementations; ``wordrep._ext`` (C) returns the
-same results faster and is preferred at import time when available.
+``wordrep._ext`` (C) returns the same results and is preferred at import
+time when available.  ``word_pair_counts`` counts with big-int carries over
+position masks; the per-letter loop it replaced, which the C kernel still
+follows, is kept as the reference in ``tests/oracles.py``.
 Pair indices use the upper-triangle convention ``pair_index(i, j, n)`` with
 ``i < j``.
 """
@@ -21,21 +23,27 @@ def word_pair_counts(letters, n):
     """11-pattern counts for every unordered letter pair of a word.
 
     Returns a flat list of length n*(n-1)//2 indexed by ``pair_index``.
-    Single left-to-right pass: seeing letter ``a`` creates one occurrence
-    in pair (a, b) exactly when ``a`` was also the previous letter of that
-    pair subword.
+    Bit p of ``pos[a]`` is set when the letter at position p is a.  For a
+    pair a < b the gaps (positions of other letters) are the ones of
+    ``full ^ A ^ B``, so in ``gaps + (A << 1)`` the carry from each a runs
+    over the gaps and stops at the next a or b: ``& A`` keeps the a's whose
+    previous letter in the pair subword is a, which are the pair's aa's.
+    Its bb's come the same way, so each pair costs a few big-int
+    operations, not a pass over the word.
     """
-    counts = [0] * (n * (n - 1) // 2)
-    last = [[-1] * n for _ in range(n)]
+    pos = [0] * n
+    bit = 1
     for a in letters:
-        row = last[a]
-        for b in range(n):
-            if b == a:
-                continue
-            if row[b] == a:
-                counts[pair_index(a, b, n)] += 1
-            row[b] = a
-            last[b][a] = a
+        pos[a] |= bit
+        bit <<= 1
+    full = bit - 1
+    counts = []
+    for a, A in enumerate(pos):
+        not_a = full ^ A
+        a_next = A << 1
+        for B in pos[a + 1:]:
+            gaps = not_a ^ B
+            counts.append(((gaps + a_next) & A).bit_count() + ((gaps + (B << 1)) & B).bit_count())
     return counts
 
 

@@ -180,6 +180,8 @@ class Word:
     def __post_init__(self):
         _check_labels(tuple(self.alphabet), "duplicate alphabet labels")
         for a in self.letters:
+            if type(a) is not int:  # exactly int: not bool, float or str
+                raise ValueError(f"letter index {a!r} is not an int")
             if not 0 <= a < len(self.alphabet):
                 raise ValueError(f"letter index {a} out of range")
 

@@ -9,10 +9,11 @@ ordinary word-representation by alternation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 from . import _kernels
-from .core import Graph, Word, _check_every_letter_occurs, canonical_form, induced_subword
+from .core import Graph, Word, _check_every_letter_occurs, canonical_form, count_pattern_11, iter_mask
 
 
 @dataclass(frozen=True)
@@ -36,14 +37,23 @@ class Verdict:
 
 
 def pattern_counts(w: Word) -> list[int]:
-    """Flat 11-counts for all letter pairs (kernel-backed single pass)."""
+    """Flat 11-counts for all letter pairs, indexed by ``pair_index`` (kernel-backed)."""
     return _kernels.word_pair_counts(w.letters, len(w.alphabet))
 
 
-def _counts_of_full_word(w: Word) -> list[int]:
-    """pattern_counts(w), after checking that every alphabet letter occurs."""
+def _represented(w: Word, k: int) -> tuple[list[int], list[int]]:
+    """pattern_counts(w) and the adjacency masks, by alphabet index, of the
+    graph ``w`` represents at level ``k``, after checking that every
+    alphabet letter occurs."""
     _check_every_letter_occurs(w, set(w.letters))
-    return pattern_counts(w)
+    counts = pattern_counts(w)
+    n = len(w.alphabet)
+    adj = [0] * n
+    for (i, j), c in zip(combinations(range(n), 2), counts):
+        if c <= k:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return counts, adj
 
 
 def graph_of_word(w: Word, k: int) -> Graph:
@@ -54,14 +64,7 @@ def graph_of_word(w: Word, k: int) -> Graph:
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    counts = _counts_of_full_word(w)
-    n = len(w.alphabet)
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if counts[_kernels.pair_index(i, j, n)] <= k:
-                pairs.append((i, j))
-    return Graph.from_index_edges(w.alphabet, pairs)
+    return Graph(tuple(w.alphabet), tuple(_represented(w, k)[1]))
 
 
 def verify_k11(w: Word, G: Graph, k: int) -> Verdict:
@@ -70,25 +73,28 @@ def verify_k11(w: Word, G: Graph, k: int) -> Verdict:
         raise ValueError("k must be non-negative")
     if set(w.alphabet) != set(G.labels):
         raise ValueError("word alphabet does not match graph vertices")
-    counts = _counts_of_full_word(w)
-    n = len(w.alphabet)
+    counts, adj = _represented(w, k)
     aidx = {lab: a for a, lab in enumerate(w.alphabet)}
-    for i in range(G.n):
-        for j in range(i + 1, G.n):
-            x, y = G.labels[i], G.labels[j]
-            c = counts[_kernels.pair_index(aidx[x], aidx[y], n)]
-            if G.has_edge(i, j):
-                if c > k:
-                    return Verdict(False, (x, y, c, "edge"))
-            elif c <= k:
-                return Verdict(False, (x, y, c, "non-edge"))
+    order = [aidx[lab] for lab in G.labels]
+    n = len(order)
+    if order != list(range(n)):
+        # the represented graph in G's vertex order
+        bit = [0] * n
+        for i, a in enumerate(order):
+            bit[a] = 1 << i
+        adj = [sum(bit[b] for b in iter_mask(adj[a])) for a in order]
+    for i, (got, want) in enumerate(zip(adj, G.adj)):
+        diff = (got ^ want) >> i + 1
+        if diff:
+            j = i + (diff & -diff).bit_length()
+            c = counts[_kernels.pair_index(order[i], order[j], n)]
+            return Verdict(False, (G.labels[i], G.labels[j], c, "edge" if want >> j & 1 else "non-edge"))
     return Verdict(True)
 
 
 def alternates(w: Word, x: str, y: str) -> bool:
     """True iff x and y strictly alternate in w (equivalently: zero 11s)."""
-    sub = induced_subword(w, x, y).letters
-    return all(a != b for a, b in zip(sub, sub[1:]))
+    return count_pattern_11(w, x, y) == 0
 
 
 def is_t_uniform(w: Word, t: int) -> bool:

@@ -12,9 +12,9 @@ from typing import Optional
 
 from wordrep import _kernels_py
 from wordrep.construct import ConstructionError
-from wordrep.core import Graph, Permutation, Word, canonical_form, iter_mask
+from wordrep.core import Graph, Permutation, Word, _check_every_letter_occurs, canonical_form, iter_mask
 from wordrep.orient import Orientation, _Budget, _edge_order, is_transitive
-from wordrep.verify import verify_k11
+from wordrep.verify import Verdict, verify_k11
 
 
 def slow_pattern_11(w: Word, x: str, y: str) -> int:
@@ -31,6 +31,49 @@ def slow_graph_of_word(w: Word, k: int) -> Graph:
             if slow_pattern_11(w, x, y) <= k:
                 edges.append((x, y))
     return Graph.from_edges(labels, edges)
+
+
+def reference_word_pair_counts(letters, n):
+    """The per-letter loop that ``_kernels_py.word_pair_counts`` replaced
+    (and that ``_ext.c`` follows): seeing letter ``a`` creates one
+    occurrence in pair (a, b) exactly when ``a`` was also the previous
+    letter of that pair subword."""
+    counts = [0] * (n * (n - 1) // 2)
+    last = [[-1] * n for _ in range(n)]
+    for a in letters:
+        row = last[a]
+        for b in range(n):
+            if b == a:
+                continue
+            if row[b] == a:
+                counts[_kernels_py.pair_index(a, b, n)] += 1
+            row[b] = a
+            last[b][a] = a
+    return counts
+
+
+def reference_verify_k11(w: Word, G: Graph, k: int) -> Verdict:
+    """``verify_k11`` as a loop over the pairs of G in index order, with
+    ``has_edge`` and ``pair_index`` for each: the same errors and the same
+    first witness."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    if set(w.alphabet) != set(G.labels):
+        raise ValueError("word alphabet does not match graph vertices")
+    _check_every_letter_occurs(w, set(w.letters))
+    n = len(w.alphabet)
+    counts = reference_word_pair_counts(w.letters, n)
+    aidx = {lab: a for a, lab in enumerate(w.alphabet)}
+    for i in range(G.n):
+        for j in range(i + 1, G.n):
+            x, y = G.labels[i], G.labels[j]
+            c = counts[_kernels_py.pair_index(aidx[x], aidx[y], n)]
+            if G.has_edge(i, j):
+                if c > k:
+                    return Verdict(False, (x, y, c, "edge"))
+            elif c <= k:
+                return Verdict(False, (x, y, c, "non-edge"))
+    return Verdict(True)
 
 
 def all_orientations(G: Graph):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from wordrep.core import (
@@ -65,6 +67,14 @@ class TestGraph:
             Graph(("a", "b"), (0b100, 0b00))
         with pytest.raises(ValueError, match="out of range"):
             Word(("a", "b"), (2,))
+
+    def test_word_letters_must_be_ints(self):
+        for bad in (1.0, "0", True, False, None):
+            with pytest.raises(ValueError, match=f"^letter index {re.escape(repr(bad))} is not an int$"):
+                Word(("a", "b"), (0, bad))
+        for bad in (2, -1):
+            with pytest.raises(ValueError, match=f"^letter index {bad} out of range$"):
+                Word(("a", "b"), (bad,))
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):

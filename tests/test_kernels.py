@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+from itertools import product
 from math import factorial, prod
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 import wordrep
-from oracles import relabelled, slow_canonical_min_bits, slow_refined_classes
+from oracles import reference_word_pair_counts, relabelled, slow_canonical_min_bits, slow_refined_classes
 from wordrep import _kernels, _kernels_py, search
 from wordrep.core import Graph, _refined_classes, complete_graph, cycle_graph, empty_graph
 
@@ -149,6 +150,29 @@ def test_word_pair_counts_parity(ext):
     for n, length in [(20, 320)] + [(rng.randrange(9, 21), rng.randrange(25, 321)) for _ in range(40)]:
         letters = [rng.randrange(n) for _ in range(length)]
         assert ext.word_pair_counts(letters, n) == _kernels_py.word_pair_counts(letters, n)
+    # alphabets above 64 letters and words whose position masks span many
+    # machine words
+    for n, length in [(65, 3000), (300, 3000)] + [(rng.randrange(21, 301), rng.randrange(321, 3001)) for _ in range(10)]:
+        letters = [rng.randrange(n) for _ in range(length)]
+        assert ext.word_pair_counts(letters, n) == _kernels_py.word_pair_counts(letters, n)
+
+
+def test_word_pair_counts_matches_reference_on_every_short_word():
+    # every word over n <= 3 letters up to length 7: the empty word, n = 0
+    # and n = 1, and letters that never occur
+    for n in range(4):
+        for length in range(8):
+            for letters in product(range(n), repeat=length):
+                assert _kernels_py.word_pair_counts(letters, n) == reference_word_pair_counts(letters, n)
+
+
+def test_word_pair_counts_matches_reference_on_long_words():
+    rng = random.Random(47)
+    sizes = [(300, 3000), (65, 64), (64, 65), (200, 10)]
+    sizes += [(rng.randrange(2, 301), rng.randrange(0, 3001)) for _ in range(12)]
+    for n, length in sizes:
+        letters = [rng.randrange(n) for _ in range(length)]
+        assert _kernels_py.word_pair_counts(letters, n) == reference_word_pair_counts(letters, n)
 
 
 def test_dag_kernels_parity(ext):

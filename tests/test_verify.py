@@ -1,9 +1,10 @@
 import random
+import re
 from itertools import combinations, product
 
 import pytest
 
-from oracles import random_word, slow_graph_of_word, slow_pattern_11
+from oracles import random_word, reference_verify_k11, slow_graph_of_word, slow_pattern_11
 from wordrep import catalog
 from wordrep.core import (
     Graph,
@@ -121,6 +122,48 @@ class TestVerifyK11:
             adj[j] ^= 1 << i
             H = Graph(G.labels, tuple(adj))
             assert not verify_k11(w, H, k)
+
+    def test_verdicts_match_reference_loop(self):
+        # same Verdict, witness included, as the pair-by-pair loop: against
+        # the represented graph, one pair flipped, a random graph (several
+        # violations, so the first one counts), and each of them with its
+        # vertices in a shuffled alphabet order
+        rng = random.Random(13)
+        for _ in range(60):
+            n = rng.randrange(2, 13)
+            labels = tuple(f"v{i}" for i in range(n))
+            w = random_word(rng, labels, rng.randrange(0, 4 * n))
+            shuffled = list(labels)
+            rng.shuffle(shuffled)
+            for k in range(4):
+                G = graph_of_word(w, k)
+                i, j = sorted(rng.sample(range(n), 2))
+                adj = list(G.adj)
+                adj[i] ^= 1 << j
+                adj[j] ^= 1 << i
+                flipped = Graph(G.labels, tuple(adj))
+                noise = Graph.from_edges(labels, [e for e in combinations(labels, 2) if rng.random() < 0.5])
+                for H in (G, flipped, noise):
+                    for checked in (H, Graph.from_edges(shuffled, H.edge_labels())):
+                        assert verify_k11(w, checked, k) == reference_verify_k11(w, checked, k)
+                assert verify_k11(w, G, k)
+                assert not verify_k11(w, flipped, k)
+
+    def test_errors_match_reference_loop(self):
+        K2 = complete_graph(("x", "y"))
+        cases = [
+            (Word.from_labels(("x", "y"), ["x", "y"]), K2, -1),
+            (Word.compact("12"), K2, 0),
+            (Word(("x", "y"), (0, 0)), K2, 0),
+            (Word(("x", "z"), (0,)), K2, -1),
+            (Word(("x", "z"), (0,)), K2, 0),
+            (Word(("y", "x"), (0,)), K2, 0),
+        ]
+        for w, G, k in cases:
+            with pytest.raises(ValueError) as expected:
+                reference_verify_k11(w, G, k)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+                verify_k11(w, G, k)
 
 
 class TestWordPredicates:
