@@ -9,7 +9,6 @@ BudgetExceeded and never conflated with "nonexistent".
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -425,13 +424,22 @@ def _full_orientations(n: int, forms: list[int], pool) -> list[Optional[tuple[in
 
 
 def _pool(jobs: int):
-    """A pool of ``jobs`` worker processes, at most one per CPU, or, for one
-    worker, no pool (None).  Under ``fork`` an executor starts all its
-    workers on the first submit, however few tasks there are."""
+    """A pool of ``jobs`` worker processes, at most one per CPU this process
+    may run on (its affinity mask where the platform has one, else
+    ``os.cpu_count()``), or, for one worker, no pool (None).  Under ``fork``
+    an executor starts all its workers on the first submit, however few
+    tasks there are.  The executor is imported only to build one, as it
+    loads ``multiprocessing``, ``socket``, ``subprocess`` and some 30 other
+    modules, which a process that never builds a pool need not pay for."""
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    workers = min(jobs, os.cpu_count() or 1)
-    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = min(jobs, len(affinity(0)) if affinity else os.cpu_count() or 1)
+    if workers == 1:
+        return nullcontext()
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def _census_result(n: int, verdicts: dict[int, bool]) -> CensusResult:

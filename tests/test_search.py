@@ -1,6 +1,11 @@
+import concurrent.futures
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from contextlib import nullcontext
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +41,32 @@ from wordrep.verify import graph_of_word, uniformity, verify_k11
 
 
 PETERSEN_G6 = "IheA@GUAo"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture
+def fake_executor(monkeypatch):
+    """A stand-in for ``ProcessPoolExecutor``, where ``search._pool`` looks
+    it up, that records each ``max_workers`` and maps in-process: no process
+    is started."""
+
+    class FakeExecutor:
+        workers = []
+
+        def __init__(self, max_workers):
+            self.workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
+    return FakeExecutor
 
 
 def _w5() -> Graph:
@@ -511,32 +542,50 @@ class TestCensus:
         assert split == (293, 510, 8, 42)
         assert census_non_word_representable(1) == search.CensusResult(1, 1, ())
 
-    def test_pool_has_at_most_one_worker_per_cpu(self, monkeypatch):
+    def test_pool_has_at_most_one_worker_per_cpu(self, monkeypatch, fake_executor):
         # under fork an executor starts all its workers on the first submit
-        class FakeExecutor:
-            workers = []
-
-            def __init__(self, max_workers):
-                self.workers.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(search, "ProcessPoolExecutor", FakeExecutor)
-        monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+        FakeExecutor = fake_executor
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         assert census_non_word_representable(6, jobs=64) == census_non_word_representable(6)
         assert FakeExecutor.workers == [3]
         with search._pool(2):
             assert FakeExecutor.workers == [3, 2]
+        monkeypatch.delattr(search.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(search.os, "cpu_count", lambda: None)
         assert isinstance(search._pool(64), nullcontext)
         assert FakeExecutor.workers == [3, 2]
+
+    def test_pool_is_capped_by_the_cpus_this_process_may_use(self, monkeypatch, fake_executor):
+        # under taskset or a cpuset, os.cpu_count() still counts every CPU
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert isinstance(search._pool(4), nullcontext)
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        with search._pool(4):
+            assert fake_executor.workers == [3]
+        # without an affinity mask, the CPU count caps the pool
+        monkeypatch.delattr(search.os, "sched_getaffinity")
+        with search._pool(16):
+            assert fake_executor.workers == [3, 8]
+
+    def test_one_job_never_loads_the_process_pool(self):
+        # a fresh interpreter: this one may have loaded it for other reasons
+        code = "\n".join((
+            "import contextlib, io, sys",
+            "import wordrep, wordrep.cli",
+            "from wordrep import search",
+            "assert len(search.census_non_word_representable(6).non_word_representable) == 1",
+            "with contextlib.redirect_stdout(io.StringIO()) as out:",
+            "    assert wordrep.cli.main(['census', '6']) == 0",
+            "assert out.getvalue()",
+            "with search._pool(1) as pool:",
+            "    assert pool is None",
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))",
+        ))
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == ["[]"]
 
     def test_grown_verdicts_identical_across_jobs(self):
         assert search._grown_verdicts(7, 2) == search._grown_verdicts(7, 1)
