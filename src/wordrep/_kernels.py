@@ -5,7 +5,8 @@ The extension (``_ext.c``, written against the CPython C API) works on
 graphs with more than 64 vertices (only the word-counting kernel ever sees
 such inputs in practice).
 
-``add_arc``, ``add_transitive_arc`` and ``transpose`` run pure on both backends.
+``shortcut_in`` (the semi-transitive search's per-arc rule) and ``transpose``
+run pure on both backends.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ except ImportError:  # pragma: no cover - depends on build environment
     HAVE_EXT = False
 
 pair_index = _py.pair_index
-add_arc = _py.add_arc
-add_transitive_arc = _py.add_transitive_arc
+shortcut_in = _py.shortcut_in
 transpose = _py.transpose
 
 

@@ -108,93 +108,48 @@ def forced_shortcut_pair(n, succ, adj):
     ``adj``.  Looks for an arc a->b and a pair u, w inside the directed
     a-to-b interval with u reaching w but u, w non-adjacent in the graph:
     such a pair stays a shortcut witness no matter how the remaining edges
-    get oriented.  Returns (a, b, u, w) or None.  Requires ``succ`` acyclic.
+    get oriented.  Returns (a, b, u, w) or None: ``shortcut_in`` over every
+    arc.  Requires ``succ`` acyclic.
     """
     desc = descendants(n, succ)
-    anc = transpose(desc)
-    for a in range(n):
-        mb = succ[a]
+    every = (1 << n) - 1
+    return shortcut_in(succ, adj, desc, transpose(desc), every, every)
+
+
+def shortcut_in(succ, adj, desc, anc, up, down):
+    """The first forced shortcut (a, b, u, w) on an arc a->b of ``succ`` with
+    a in the mask ``up`` and b in ``down``, or None.
+
+    ``desc``/``anc`` are the strict descendant and ancestor masks of the
+    acyclic ``succ``.  Witnesses come by a, then b, then the lowest u, then
+    the lowest w.  The orientation search calls it as its semi-transitive
+    rule, just after adding x->y, with up = anc[x]|x and down = desc[y]|y
+    of the orientation before that arc, which had no forced shortcut.  That
+    is enough: a violation that is new uses x->y on the arc a->b itself or
+    on a path a~>u~>w~>b, so a reaches x and y reaches b; neither path
+    passes through x->y, since that would make y reach x.
+    """
+    ma = up
+    while ma:
+        lowa = ma & -ma
+        ma ^= lowa
+        a = lowa.bit_length() - 1
+        mb = succ[a] & down
         while mb:
             lowb = mb & -mb
             mb ^= lowb
             b = lowb.bit_length() - 1
-            between = (desc[a] & anc[b]) | (1 << a) | lowb
+            between = (desc[a] & anc[b]) | lowa | lowb
             mu = between
             while mu:
                 lowu = mu & -mu
                 mu ^= lowu
                 u = lowu.bit_length() - 1
-                bad = desc[u] & between & ~adj[u] & ~lowu
+                bad = desc[u] & between & ~adj[u]
                 if bad:
                     # lowest such w, for determinism
                     return (a, b, u, (bad & -bad).bit_length() - 1)
     return None
-
-
-def add_arc(n, succ, adj, desc, anc, x, y):
-    """Update reachability for a new arc x->y and check the intervals it opens.
-
-    ``succ`` already holds x->y; ``desc``/``anc`` are the strict descendant
-    and ancestor masks of the orientation without it, which must have had no
-    forced violation (see ``forced_shortcut_pair``).  Returns None when x->y
-    closes a directed cycle or forces a violation, else the new
-    ``(desc, anc)`` as fresh lists.
-
-    Only arcs a->b with a in up = anc[x]|x and b in down = desc[y]|y need
-    checking.  A violation that is new uses x->y on the arc a->b itself or
-    on a path a~>u~>w~>b, so a reaches x and y reaches b; neither path
-    passes through x->y, since that would make y reach x.
-    """
-    if desc[y] >> x & 1:
-        return None
-    up = anc[x] | (1 << x)
-    down = desc[y] | (1 << y)
-    desc = list(desc)
-    anc = list(anc)
-    m = up
-    while m:
-        low = m & -m
-        desc[low.bit_length() - 1] |= down
-        m ^= low
-    m = down
-    while m:
-        low = m & -m
-        anc[low.bit_length() - 1] |= up
-        m ^= low
-    ma = up
-    while ma:
-        low = ma & -ma
-        a = low.bit_length() - 1
-        ma ^= low
-        mb = succ[a] & down
-        while mb:
-            lowb = mb & -mb
-            b = lowb.bit_length() - 1
-            mb ^= lowb
-            between = (desc[a] & anc[b]) | low | lowb
-            mu = between
-            while mu:
-                lowu = mu & -mu
-                u = lowu.bit_length() - 1
-                mu ^= lowu
-                if desc[u] & between & ~adj[u]:
-                    return None
-    return desc, anc
-
-
-def add_transitive_arc(n, succ, adj, desc, anc, x, y):
-    """``add_arc`` for transitive orientations: None when x->y closes a cycle
-    or some a in anc[x]|x would reach a non-neighbour in desc[y]|y (the new
-    reachable pairs), else the new ``(desc, anc)``.  ``succ`` is not read."""
-    if desc[y] >> x & 1:
-        return None
-    up = anc[x] | (1 << x)
-    down = desc[y] | (1 << y)
-    for a in range(n):
-        if up >> a & 1 and down & ~adj[a]:
-            return None
-    return ([d | down if up >> i & 1 else d for i, d in enumerate(desc)],
-            [a | up if down >> i & 1 else a for i, a in enumerate(anc)])
 
 
 @lru_cache(maxsize=16)

@@ -26,6 +26,7 @@ from ._kernels import HAVE_EXT
 from .construct import (
     ConstructionError,
     SplitPartition,
+    _verified,
     comp_ind_partition,
     comp_plus_ind_word,
     double_word,
@@ -78,10 +79,13 @@ def _default_max_nodes() -> int | None:
 
 
 def _entry(spec: str) -> cat.CatalogEntry | None:
-    try:
-        return cat.get(spec.removeprefix("catalog:"))
-    except ValueError:
+    """The catalog entry an operand names, or None for a file: a ``catalog:``
+    or ``mycielski-c:`` operand names an entry only (a bad one raises the
+    catalog's own error), any other one if the catalog has that name."""
+    name = spec.removeprefix("catalog:")
+    if name == spec and not name.startswith("mycielski-c:") and name not in cat.names():
         return None
+    return cat.get(name)
 
 
 def _read(spec: str) -> str:
@@ -116,12 +120,12 @@ def _load_words(spec: str, alphabet: tuple[str, ...] | None, count: int) -> list
 
 
 def _load_word(spec: str, alphabet: tuple[str, ...] | None) -> Word:
-    if spec.startswith("catalog:"):
-        entry = cat.get(spec.removeprefix("catalog:"))
-        if not entry.golden_words:
-            raise CliError(f"catalog entry {entry.name!r} has no stored word")
-        return entry.golden_words[0][0]
-    return _load_words(spec, alphabet, 1)[0]
+    entry = _entry(spec)
+    if entry is None:
+        return _load_words(spec, alphabet, 1)[0]
+    if not entry.golden_words:
+        raise CliError(f"catalog entry {entry.name!r} has no stored word")
+    return entry.golden_words[0][0]
 
 
 def _split_list(arg: str) -> list[str]:
@@ -200,7 +204,7 @@ def _cmd_construct(args) -> int:
     elif args.kind == "three-perm":
         perms = _load_words(args.file, None, 3)
         G = three_perm_graph(*perms)
-        word = perms[0].concat(perms[1], perms[2])
+        word = _verified(perms[0].concat(perms[1], perms[2]), G, 1)
         claim = "1-11-represents the graph below"
         after = fileio.print_graph(G)
     elif args.kind == "double":

@@ -173,18 +173,21 @@ def _edge_order(G: Graph) -> list[tuple[int, int]]:
     )
 
 
-def _search(G: Graph, max_nodes: Optional[int], add_rule, start=None) -> Optional[list[int]]:
+def _search(G: Graph, max_nodes: Optional[int], reject, start=None) -> Optional[list[int]]:
     """The backtracking loop of both orientation searches, on its own stack
     (no recursion, so no bound on the edge count): the successor masks of
-    the first orientation whose arcs ``add_rule`` accepts, or None.
+    the first acyclic orientation none of whose arcs ``reject`` rejects, or
+    None.
 
     Edges come in ``_edge_order``; on {u, v}, u < v, u->v is tried before
-    v->u, and alone on the first edge.  ``add_rule(n, succ, adj, desc, anc,
-    x, y)`` sees x->y in ``succ`` and the reachability before it, and
-    returns None to prune, else the reachability with x->y.  A node is the
-    root or an accepted arc; each ticks the budget once.  Each stack entry
-    carries the masks it extends: a popped entry copies ``succ``, as
-    ``add_rule`` copies ``desc`` and ``anc``, so backtracking undoes nothing.
+    v->u, and alone on the first edge.  An arc x->y is dropped when y
+    already reaches x (a cycle).  Else it is added to ``succ``, the strict
+    descendant masks ``desc`` of up = anc[x]|x gain down = desc[y]|y (and
+    the ancestor masks ``anc`` of down gain up), and ``reject(succ, adj,
+    desc, anc, up, down)`` returns why the arc fails, or None to keep it.
+    A node is the root or a kept arc; each ticks the budget once.  Each
+    stack entry carries the masks it extends, and a popped one copies them
+    before adding its arc, so backtracking undoes nothing.
 
     ``start = (succ, desc, anc, edges)`` extends an orientation instead: the
     successor masks and reachability of arcs on every edge but ``edges``,
@@ -192,7 +195,7 @@ def _search(G: Graph, max_nodes: Optional[int], add_rule, start=None) -> Optiona
     symmetry, so both directions are tried on the first of them.  The root,
     the orientation given, is no node of this search.
     """
-    n = G.n
+    n, adj = G.n, G.adj
     budget = _Budget(max_nodes)
     if start is None:
         succ, desc, anc, edges = [0] * n, [0] * n, [0] * n, _edge_order(G)
@@ -209,16 +212,45 @@ def _search(G: Graph, max_nodes: Optional[int], add_rule, start=None) -> Optiona
         todo.insert(0, (0, v, u, succ, desc, anc))
     while todo:
         k, x, y, succ, desc, anc = todo.pop()
-        succ = list(succ)
+        if desc[y] >> x & 1:  # x->y closes a cycle
+            continue
+        up = anc[x] | 1 << x
+        down = desc[y] | 1 << y
+        succ, desc, anc = list(succ), list(desc), list(anc)
         succ[x] |= 1 << y
-        reach = add_rule(n, succ, G.adj, desc, anc, x, y)
-        if reach is not None:
+        m = up
+        while m:
+            low = m & -m
+            m ^= low
+            desc[low.bit_length() - 1] |= down
+        m = down
+        while m:
+            low = m & -m
+            m ^= low
+            anc[low.bit_length() - 1] |= up
+        if reject(succ, adj, desc, anc, up, down) is None:
             budget.tick()
             k += 1
             if k == len(edges):
                 return succ
             u, v = edges[k]
-            todo += [(k, v, u, succ, *reach), (k, u, v, succ, *reach)]
+            todo += [(k, v, u, succ, desc, anc), (k, u, v, succ, desc, anc)]
+    return None
+
+
+def _non_neighbour_in(succ, adj, desc, anc, up, down):
+    """The transitive search's per-arc rule: (a, w) for the lowest a in
+    ``up`` whose ``down`` holds a non-neighbour w (the lowest), or None.
+    The new arc makes each a in up reach each w in down, and a transitive
+    orientation has an arc on every reachable pair."""
+    m = up
+    while m:
+        low = m & -m
+        m ^= low
+        a = low.bit_length() - 1
+        bad = down & ~adj[a]
+        if bad:
+            return (a, (bad & -bad).bit_length() - 1)
     return None
 
 
@@ -230,30 +262,30 @@ def _reachability(succ: Sequence[int]) -> tuple[list[int], list[int]]:
 
 def search_semi_transitive(G: Graph, max_nodes: Optional[int] = None) -> Optional[Orientation]:
     """Backtracking search for a semi-transitive orientation: ``_search``
-    with ``_kernels.add_arc``, which prunes an arc that closes a cycle or
-    forces a shortcut, checking only the intervals through the new arc.
+    with ``_kernels.shortcut_in``, which prunes an arc that forces a
+    shortcut, checking only the intervals through the new arc.
 
     None comes only from an exhausted search, which proves G
     non-word-representable.  u->v alone on the first edge loses nothing: a
     semi-transitive orientation reversed is one (a cycle or a shortcut
     reversed is one).  Exceeding ``max_nodes`` raises BudgetExceeded.
     """
-    succ = _search(G, max_nodes, _kernels.add_arc)
+    succ = _search(G, max_nodes, _kernels.shortcut_in)
     return None if succ is None else Orientation(G, tuple(succ))
 
 
 def search_transitive(G: Graph, max_nodes: Optional[int] = None) -> Optional[Orientation]:
     """Backtracking search for a transitive orientation: ``_search`` with
-    ``_kernels.add_transitive_arc``, which prunes an arc that closes a cycle
-    or lets a vertex reach a non-neighbour (once a->b->c is fixed, ac must
-    be an edge oriented a->c).  A transitive orientation reversed is one,
-    so u->v alone on the first edge loses nothing.  Exceeding ``max_nodes``
-    raises BudgetExceeded.
+    ``_non_neighbour_in``, which prunes an arc that lets a vertex reach a
+    non-neighbour (once a->b->c is fixed, ac must be an edge oriented
+    a->c).  A transitive orientation reversed is one, so u->v alone on the
+    first edge loses nothing.  Exceeding ``max_nodes`` raises
+    BudgetExceeded.
     """
-    succ = _search(G, max_nodes, _kernels.add_transitive_arc)
+    succ = _search(G, max_nodes, _non_neighbour_in)
     if succ is None:
         return None
     D = Orientation(G, tuple(succ))
-    if not is_transitive(D):  # add_transitive_arc should guarantee this
+    if not is_transitive(D):  # _non_neighbour_in should guarantee this
         raise AssertionError("search produced a non-transitive orientation")
     return D

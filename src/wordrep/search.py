@@ -458,12 +458,12 @@ def _census(n: int, forms: list[int], jobs: int) -> CensusResult:
 
 
 def _extend(child: Graph, nbh: int, start) -> Optional[Orientation]:
-    """The orientation of ``child`` that ``add_arc`` finds for the edges of
+    """The orientation of ``child`` that ``_search`` finds for the edges of
     its new vertex, joined to the mask ``nbh``, on top of the parent's
-    orientation and reachability ``start``, checked as a search's result
-    is, or None."""
+    orientation and reachability ``start``, with the full search's rule
+    ``_kernels.shortcut_in``, checked as a search's result is, or None."""
     edges = [(v, child.n - 1) for v in iter_mask(nbh)]
-    succ = _search(child, None, _kernels.add_arc, (*start, edges))
+    succ = _search(child, None, _kernels.shortcut_in, (*start, edges))
     return None if succ is None else Orientation(child, tuple(succ))
 
 
@@ -477,12 +477,12 @@ def _grown_verdicts(n: int, jobs: int) -> tuple[dict[int, tuple[bool, Optional[i
     is decided when it is met:
 
     - a sole child of a word-representable parent (``_children``: no other
-      kept extension is isomorphic to it) is first extended: the new
-      vertex's edges are oriented by ``add_arc`` on top of the parent's
-      orientation.  Success is a semi-transitive orientation, counted in
-      ``skipped``, and the child needs no canonical form, as its class is met
-      nowhere else.  On failure its form is left open, without a second
-      try;
+      kept extension is isomorphic to it) is first extended (``_extend``):
+      the new vertex's edges are oriented arc by arc on top of the parent's
+      orientation, by the full search's per-arc rule.  Success is a
+      semi-transitive orientation, counted in ``skipped``, and the child
+      needs no canonical form, as its class is met nowhere else.  On
+      failure its form is left open, without a second try;
     - every other child is decided when its form is first met.  Grown from
       a refuted parent, it is not word-representable, as the parent is an
       induced subgraph (word-representability is hereditary): ``(False,

@@ -248,8 +248,8 @@ def slow_search_semi_transitive(
     return (tuple(succ) if rec(0) else None), nodes
 
 
-# The transitive search that ``orient._search`` with ``add_transitive_arc``
-# replaced, verbatim apart from its name.
+# The transitive search that ``orient._search`` with the rule
+# ``_non_neighbour_in`` replaced, verbatim apart from its name.
 
 
 def slow_search_transitive(G: Graph, max_nodes: Optional[int] = None) -> Optional[Orientation]:

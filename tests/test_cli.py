@@ -195,6 +195,16 @@ class TestConstruct:
         G = parse_graph(out[out.index("vertices:"):])
         assert not G.has_edge_labels("1", "2")
 
+    def test_three_perm_verifies_its_word(self, capsys, tmp_path, monkeypatch):
+        # a wrong graph from the lemma is caught before "verified:" is printed
+        p = tmp_path / "perms.txt"
+        p.write_text("1 2 3\n2 1 3\n1 2 3\n")
+        monkeypatch.setattr(cli, "three_perm_graph", lambda *perms: complete_graph(["1", "2", "3"]))
+        assert main(["construct", "three-perm", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert "verified:" not in captured.out
+        assert captured.err.startswith("error:") and "failed verification" in captured.err
+
     @pytest.mark.parametrize("kind, commented, plain", [
         ("three-perm", "# three permutations of 1..3\n1 2 3\n3 2 1\n1 2 3\n", "1 2 3\n3 2 1\n1 2 3\n"),
         ("double", "1 2 1 2 # alternating\n", "1 2 1 2\n"),
@@ -261,6 +271,33 @@ class TestConstruct:
             "construct", "comp-ind", str(p), "--comp", "a,b,c", "--independent", "d,e",
         ]) == 0
         assert "verified" in capsys.readouterr().out
+
+
+class TestCatalogOperands:
+    """Graph, orientation and word operands name catalog entries by one rule."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["orient", "search", "mycielski-c:2"], "Mycielski cycle needs n >= 3"),
+        (["orient", "search", "catalog:mycielski-c:x"], "bad Mycielski cycle size"),
+        (["orient", "check", "catalog:nope"], "unknown catalog entry 'nope'"),
+        (["verify", "catalog:nope", "graph12"], "unknown catalog entry 'nope'"),
+        (["verify", "graph12", "catalog:nope"], "unknown catalog entry 'nope'"),
+    ], ids=["mycielski-size", "mycielski-bad-size", "orientation", "graph", "word"])
+    def test_catalog_operand_reports_the_catalog_error(self, capsys, argv, message):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and "neither" not in err
+
+    def test_bare_catalog_name_as_word(self, capsys):
+        assert main(["verify", "graph12", "graph12", "-k", "1"]) == 0
+        assert "verified" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["orient", "search", "nope"], ["orient", "check", "nope"], ["verify", "graph12", "nope"],
+    ], ids=["graph", "orientation", "word"])
+    def test_other_names_are_files(self, capsys, argv):
+        assert main(argv) == 2
+        assert "'nope' is neither a catalog name nor a file" in capsys.readouterr().err
 
 
 class TestCensus:

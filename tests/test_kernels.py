@@ -16,7 +16,7 @@ import pytest
 
 import wordrep
 from oracles import reference_word_pair_counts, relabelled, slow_canonical_min_bits, slow_refined_classes
-from wordrep import _kernels, _kernels_py, search
+from wordrep import _kernels, _kernels_py, orient, search
 from wordrep.core import Graph, _refined_classes, complete_graph, cycle_graph, empty_graph
 
 
@@ -263,26 +263,36 @@ def test_transpose():
         _kernels_py.transpose([0b100, 0])
 
 
-def _perfbench_kernel_names():
-    """``KERNELS`` of perfbench/spans.py, read from its source: the names it
-    looks up on ``wordrep._kernels_py`` and on a loaded ``wordrep._ext``."""
+def _perfbench_spans(name):
+    """The top-level constant ``name`` of perfbench/spans.py, read from its
+    source: ``KERNELS`` names what it looks up on ``wordrep._kernels_py``
+    and on a loaded ``wordrep._ext``, ``LAYERS`` the functions it wraps."""
     source = Path(__file__).parents[1] / "perfbench" / "spans.py"
     for node in ast.parse(source.read_text()).body:
-        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["KERNELS"]:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [name]:
             return ast.literal_eval(node.value)
-    raise AssertionError("perfbench/spans.py declares no KERNELS")
+    raise AssertionError(f"perfbench/spans.py declares no {name}")
 
 
 def test_perfbench_kernel_names_exist_in_pure_backend():
-    names = _perfbench_kernel_names()
+    names = _perfbench_spans("KERNELS")
     assert names
     for name in names:
         assert callable(getattr(_kernels_py, name, None)), name
 
 
 def test_perfbench_kernel_names_exist_in_extension(ext):
-    for name in _perfbench_kernel_names():
+    for name in _perfbench_spans("KERNELS"):
         assert callable(getattr(ext, name, None)), name
+
+
+def test_perfbench_layer_names_exist():
+    layers = _perfbench_spans("LAYERS")
+    assert layers
+    for _, module, functions in layers:
+        loaded = importlib.import_module(module)
+        for name in functions:
+            assert callable(getattr(loaded, name, None)), f"{module}.{name}"
 
 
 def test_canonical_min_bits_parity(ext):
@@ -437,74 +447,108 @@ def test_dispatcher_size_guards(monkeypatch):
     assert called == []
 
 
+def _full_reachability(n, succ):
+    """Strict descendant and ancestor masks of ``succ``, recomputed from
+    scratch.  Raises ValueError on a directed cycle."""
+    desc = _kernels_py.descendants(n, succ)
+    return desc, [sum(1 << i for i in range(n) if desc[i] >> j & 1) for j in range(n)]
+
+
 def _reference_add_arc(n, succ, adj):
-    """What add_arc must return, by recomputing reachability from scratch."""
+    """The reachability of ``succ`` recomputed from scratch, or None where
+    the semi-transitive search must reject its last arc: on a cycle or a
+    forced shortcut."""
     try:
-        desc = _kernels_py.descendants(n, succ)
+        reach = _full_reachability(n, succ)
     except ValueError:
         return None
-    if _kernels_py.forced_shortcut_pair(n, succ, adj) is not None:
-        return None
-    anc = [sum(1 << i for i in range(n) if desc[i] >> j & 1) for j in range(n)]
-    return desc, anc
+    return None if _kernels_py.forced_shortcut_pair(n, succ, adj) is not None else reach
 
 
 def _reference_add_transitive_arc(n, succ, adj):
-    """What add_transitive_arc must return: reachability recomputed from
-    scratch, None on a cycle or on a vertex reaching a non-neighbour."""
+    """The reachability of ``succ`` recomputed from scratch, or None where
+    the transitive search must reject its last arc: on a cycle or on a
+    vertex reaching a non-neighbour."""
     try:
-        desc = _kernels_py.descendants(n, succ)
+        reach = _full_reachability(n, succ)
     except ValueError:
         return None
-    if any(desc[i] & ~adj[i] for i in range(n)):
-        return None
-    anc = [sum(1 << i for i in range(n) if desc[i] >> j & 1) for j in range(n)]
-    return desc, anc
+    return None if any(d & ~a for d, a in zip(reach[0], adj)) else reach
 
 
-def _arc_insertions(rng, trials, reference=_reference_add_arc):
-    """(n, adj, succ after the arc, desc, anc before it, x, y) along random
-    insertion sequences; a rejected arc is taken back, so every state the
-    sequence continues from is one ``reference`` accepts."""
+def _rule_calls(seed, trials, rule, check):
+    """Run ``orient._search`` with the per-arc ``rule`` on ``trials`` seeded
+    random graphs (n = 5..12), calling ``check(n, adj, succ, desc, anc, up,
+    down, verdict)`` on every call of the rule, with the rule's verdict."""
+    rng = random.Random(seed)
     for _ in range(trials):
         n = rng.randrange(5, 13)
-        G = _random_graph(rng, n)
-        edges = G.edges()
-        rng.shuffle(edges)
-        succ = [0] * n
-        desc, anc = [0] * n, [0] * n
-        for u, v in edges:
-            x, y = (u, v) if rng.random() < 0.5 else (v, u)
-            succ[x] |= 1 << y
-            yield n, G.adj, list(succ), desc, anc, x, y
-            reach = reference(n, succ, G.adj)
-            if reach is None:
-                succ[x] &= ~(1 << y)
-            else:
-                desc, anc = reach
+
+        def spy(succ, adj, desc, anc, up, down):
+            verdict = rule(succ, adj, desc, anc, up, down)
+            check(n, adj, succ, desc, anc, up, down, verdict)
+            return verdict
+
+        orient._search(_random_graph(rng, n), None, spy)
+
+
+def _check_arc_step(reference, counts):
+    """A ``_rule_calls`` check: ``desc``/``anc`` after the arc step equal a
+    full recompute (so the search drops a cycle before any rule sees it),
+    and the rule rejects exactly the arcs ``reference`` rejects.
+    ``counts[rejected?]`` counts the verdicts."""
+
+    def check(n, adj, succ, desc, anc, up, down, verdict):
+        assert (desc, anc) == _full_reachability(n, succ)
+        assert reference(n, succ, adj) == (None if verdict is not None else (desc, anc))
+        counts[verdict is not None] += 1
+
+    return check
 
 
 def test_add_arc_matches_full_recompute():
-    rejected = accepted = 0
-    for n, adj, succ, desc, anc, x, y in _arc_insertions(random.Random(47), 200):
-        want = _reference_add_arc(n, succ, adj)
-        assert _kernels_py.add_arc(n, succ, adj, desc, anc, x, y) == want
-        if want is None:
-            rejected += 1
-        else:
-            accepted += 1
+    counts = [0, 0]
+    _rule_calls(47, 50, _kernels_py.shortcut_in, _check_arc_step(_reference_add_arc, counts))
+    accepted, rejected = counts
     # both outcomes are exercised, not only the easy one
     assert rejected > 100 and accepted > 1000
 
 
 def test_add_transitive_arc_matches_full_recompute():
-    rejected = accepted = 0
-    insertions = _arc_insertions(random.Random(53), 200, _reference_add_transitive_arc)
-    for n, adj, succ, desc, anc, x, y in insertions:
-        want = _reference_add_transitive_arc(n, succ, adj)
-        assert _kernels_py.add_transitive_arc(n, succ, adj, desc, anc, x, y) == want
-        if want is None:
-            rejected += 1
-        else:
-            accepted += 1
+    counts = [0, 0]
+    _rule_calls(53, 200, orient._non_neighbour_in, _check_arc_step(_reference_add_transitive_arc, counts))
+    accepted, rejected = counts
     assert rejected > 100 and accepted > 1000
+
+
+def test_shortcut_in_witnesses_are_forced_shortcuts():
+    seen = []
+
+    def check(n, adj, succ, desc, anc, up, down, verdict):
+        if verdict is None:
+            return
+        a, b, u, w = verdict
+        desc, anc = _full_reachability(n, succ)
+        assert succ[a] >> b & 1 and up >> a & 1 and down >> b & 1
+        between = (desc[a] & anc[b]) | 1 << a | 1 << b
+        assert between >> u & 1 and between >> w & 1
+        assert desc[u] >> w & 1 and not adj[u] >> w & 1
+        seen.append(verdict)
+
+    _rule_calls(59, 50, _kernels_py.shortcut_in, check)
+    assert len(seen) > 100
+
+
+def test_non_neighbour_in_witnesses_are_reachable_non_neighbours():
+    seen = []
+
+    def check(n, adj, succ, desc, anc, up, down, verdict):
+        if verdict is None:
+            return
+        a, w = verdict
+        assert up >> a & 1 and down >> w & 1 and not adj[a] >> w & 1
+        assert _full_reachability(n, succ)[0][a] >> w & 1
+        seen.append(verdict)
+
+    _rule_calls(61, 200, orient._non_neighbour_in, check)
+    assert len(seen) > 100
