@@ -1,8 +1,9 @@
 """Fundamental graph and word types plus the word primitives everything else builds on.
 
-Vertices are identified by label (a non-empty whitespace-free token) in the
-public API; internally every graph fixes a dense label -> index map at
-construction time and all algorithms work on indices and adjacency bitmasks.
+Vertices are identified by label (a non-empty token without whitespace or
+``#``) in the public API; internally every graph fixes a dense label ->
+index map at construction time and all algorithms work on indices and
+adjacency bitmasks.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ from typing import Collection, Iterable, Iterator, Sequence
 
 from . import _kernels
 
-_LABEL_RE = re.compile(r"^\S+$")
+# no whitespace, and no ``#``, which starts a comment in every fileio format
+_LABEL_RE = re.compile(r"[^\s#]+")
 
 
 def _check_label(label: str) -> str:
-    if not isinstance(label, str) or not _LABEL_RE.match(label):
+    if not isinstance(label, str) or not _LABEL_RE.fullmatch(label):
         raise ValueError(f"bad vertex label: {label!r}")
     return label
 

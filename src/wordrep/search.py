@@ -188,19 +188,36 @@ def _image_mask(perm: Sequence[int], mask: int) -> int:
     return out
 
 
+def _twin_classes(adj: Sequence[int]) -> list[int]:
+    """``twins[v]``: the mask of v's twin class, the vertices whose
+    neighbourhoods agree with v's apart from each other (v included).  The
+    twins of a class are pairwise all adjacent or all not, so any
+    permutation of a class is an automorphism."""
+    return [sum(1 << u for u, b in enumerate(adj) if b & ~(1 << v) == a & ~(1 << u)) for v, a in enumerate(adj)]
+
+
 def _automorphisms(G: Graph) -> list[tuple[int, ...]]:
-    """Every automorphism of G as an image tuple (p[v] is the image of v).
+    """One automorphism of G per coset of its twin-swap subgroup (the
+    permutations of each twin class, ``_twin_classes``), as image tuples
+    (p[v] is the image of v): the one that maps each twin class onto its
+    image in increasing order.  Every automorphism is exactly one of these
+    followed by a permutation of each twin class.
 
     Images are assigned one vertex at a time, class by class in
-    ``_refined_classes`` order: an automorphism preserves the refined
-    colours, so v maps into its own class.  A partial map is dropped as soon
-    as it breaks an adjacency among the vertices already placed, that is,
-    when the neighbours of v's image among the placed images are not the
-    images of v's placed neighbours.  A map that places every vertex this
-    way preserves every edge and non-edge.
+    ``_refined_classes`` order, each class in increasing order: an
+    automorphism preserves the refined colours, so v maps into its own class,
+    and so do its twins.  A vertex with a lower twin maps to the vertex just
+    above its next lower twin's image, in that image's twin class; as an
+    automorphism maps each twin class onto a twin class, this leaves one map
+    per coset.  A partial map is dropped as soon as it breaks an adjacency
+    among the vertices already placed, that is, when the neighbours of v's
+    image among the placed images are not the images of v's placed
+    neighbours.  A map that places every vertex this way preserves every
+    edge and non-edge.
     """
     n = G.n
     adj = G.adj
+    twins = _twin_classes(adj)
     order = []
     class_mask = [0] * n
     for cls in _refined_classes(G):
@@ -217,7 +234,13 @@ def _automorphisms(G: Graph) -> list[tuple[int, ...]]:
             return
         v = order[i]
         want = _image_mask(perm, adj[v] & placed)
-        free = class_mask[v] & ~image
+        lower = twins[v] & (1 << v) - 1
+        if lower:
+            pu = perm[lower.bit_length() - 1]
+            above = twins[pu] >> pu + 1 << pu + 1
+            free = above & -above
+        else:
+            free = class_mask[v] & ~image
         while free:
             low = free & -free
             free ^= low
@@ -370,16 +393,28 @@ def _children(n: int, bits: int, connected: bool) -> Iterator[tuple[int, Graph, 
     G's new vertex.  So H' is isomorphic to this parent H, hence H' = H, as
     the parents are distinct canonical forms, and phi restricted to H is an
     automorphism taking nbh' to nbh.  Orbit pruning keeps one mask per
-    orbit, so nbh' = nbh."""
+    orbit, so nbh' = nbh.
+
+    Orbits are taken modulo twins.  Only twin-canonical masks are listed:
+    those that hold, of each twin class (``_twin_classes``), its lowest
+    vertices.  Swapping twins moves a mask within its orbit, to a smaller
+    mask when it brings in a lower twin, so the smallest mask of an orbit is
+    twin-canonical, and the twin-canonical masks of an orbit are the images
+    of any one of them under ``_automorphisms``' coset representatives.
+    These map each twin class onto its image in increasing order, so the
+    image of a twin-canonical mask is twin-canonical as it stands."""
     base = graph_from_canonical_bits(n - 1, bits)
     labels = tuple(str(i + 1) for i in range(n))
     identity = tuple(range(n - 1))
     # the identity maps a mask onto itself, which the loop has passed
     autos = [p for p in _automorphisms(base) if p != identity]
     keeps = _deletion_rule(base.adj, connected)
+    masks = [0]  # the twin-canonical masks: the lowest k of each twin class
+    for twins in set(_twin_classes(base.adj)):
+        masks += [m | twins & (2 << v) - 1 for m in masks for v in iter_mask(twins)]
     seen = set()
     # ascending order: the first mask met in an orbit is its smallest
-    for nbh in range(1 if connected else 0, 1 << (n - 1)):
+    for nbh in sorted(masks)[1 if connected else 0:]:
         if nbh in seen:
             continue
         rule = keeps(nbh)
@@ -467,6 +502,31 @@ def _extend(child: Graph, nbh: int, start) -> Optional[Orientation]:
     return None if succ is None else Orientation(child, tuple(succ))
 
 
+def _refuted_deletion(n: int, form: int, refuted: dict[tuple[int, ...], set[int]]) -> Optional[int]:
+    """The form of a connected one-vertex deletion of the graph with
+    canonical bits ``form`` on n vertices that ``refuted`` holds ({sorted
+    degree sequence: forms on n - 1 vertices}), or None.  Only a deletion
+    whose degree sequence is a key gets a canonical form.
+
+    Connected deletions suffice.  If G is connected and G - v is
+    disconnected and not word-representable, one of its components C is not
+    (disjoint unions of word-representable graphs are word-representable).
+    C + v is connected and misses a vertex of G, so a spanning tree of G
+    that extends one of C + v has a leaf w outside C + v: G - w is connected
+    and induces C."""
+    adj = _canonical_masks(n, form)
+    every = (1 << n) - 1
+    for v in range(n):
+        keep = every ^ 1 << v
+        degrees = tuple(sorted((a & keep).bit_count() for u, a in enumerate(adj) if u != v))
+        candidates = refuted.get(degrees)
+        if candidates and _induces_connected(adj, keep):
+            deletion = canonical_form(graph_from_canonical_bits(n, form).delete_vertex(str(v + 1)))[1]
+            if deletion in candidates:
+                return deletion
+    return None
+
+
 def _grown_verdicts(n: int, jobs: int) -> tuple[dict[int, tuple[bool, Optional[int]]], int]:
     """Decide the connected graphs on n >= 2 vertices while growing them from
     those on n - 1: ``({form: (word-representable?, parent)}, skipped)``,
@@ -490,20 +550,31 @@ def _grown_verdicts(n: int, jobs: int) -> tuple[dict[int, tuple[bool, Optional[i
       success; on failure the form is left open, and tried again where it
       is met next.
 
-    The forms still open are decided by a full search each: ``(verdict,
-    None)``.  A failed extension never counts as a "no".  The parents and
-    the open forms are searched in the pool, so the verdicts, which follow
-    the parents' canonical order, do not depend on ``jobs``.
+    A form still open is then looked up (``_refuted_deletion``): if one of
+    its connected one-vertex deletions is a parent that the full search
+    refuted, it is not word-representable either, by the same heredity:
+    ``(False, deletion)``.  Every connected graph with a refuted one-vertex
+    deletion has a connected one (``_refuted_deletion``), so the forms left
+    are the minimal non-word-representable graphs and the word-representable
+    forms that no extension decided.  They are decided by a full search
+    each: ``(verdict, None)``.  A failed extension never counts as a "no".
+    The parents and the open forms are searched in the pool, so the
+    verdicts, which follow the parents' canonical order, do not depend on
+    ``jobs``.
     """
     parents = _canonical_bits_upto(n - 1, True)
     verdicts = {}
     skipped = 0
     forms = set()
+    refuted: dict[tuple[int, ...], set[int]] = {}
     with _pool(jobs) as pool:
         for bits, found in zip(parents, _full_orientations(n - 1, parents, pool)):
             if found is not None:
                 desc, anc = _reachability(found)
                 start = (*found, 0), desc + [0], anc + [0]
+            else:
+                degrees = tuple(sorted(a.bit_count() for a in _canonical_masks(n - 1, bits)))
+                refuted.setdefault(degrees, set()).add(bits)
             for nbh, child, sole in _children(n, bits, True):
                 if sole and found is not None:
                     if _extend(child, nbh, start) is not None:
@@ -519,7 +590,13 @@ def _grown_verdicts(n: int, jobs: int) -> tuple[dict[int, tuple[bool, Optional[i
                     verdicts[form] = (False, bits)
                 elif _extend(child, nbh, start) is not None:
                     verdicts[form] = (True, bits)
-        still_open = sorted(forms.difference(verdicts))
+        still_open = []
+        for form in sorted(forms.difference(verdicts)):
+            deletion = _refuted_deletion(n, form, refuted)
+            if deletion is None:
+                still_open.append(form)
+            else:
+                verdicts[form] = (False, deletion)
         for bits, found in zip(still_open, _full_orientations(n, still_open, pool)):
             verdicts[bits] = (found is not None, None)
     return verdicts, skipped

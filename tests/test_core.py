@@ -39,6 +39,10 @@ class TestGraph:
             Graph.from_edges(("a", "b c"), [])
         with pytest.raises(ValueError, match="bad vertex label"):
             Graph.from_edges(("a", ""), [])
+        # a trailing newline, and a comment sign anywhere
+        for bad in ("b\n", "a#1", "#", "x#"):
+            with pytest.raises(ValueError, match="bad vertex label"):
+                Graph.from_edges(("a", bad), [])
 
     def test_labels_checked_after_a_good_tuple_is_cached(self):
         # a label tuple that passed is not checked again; bad ones, and the

@@ -45,6 +45,16 @@ class TestGraphFiles:
             parse_graph("vertices: a b\nedge: a z\n")
 
 
+    def test_no_label_reads_as_a_comment(self):
+        # `#` starts a comment, so a label holding one would not survive
+        # print then parse: the file of a vertex a#1 would fail to parse,
+        # and the word `x# y x#` would read back as `x`
+        with pytest.raises(ValueError, match="bad vertex label"):
+            Graph.from_edges(("a#1", "b"), [("a#1", "b")])
+        with pytest.raises(ValueError, match="bad vertex label"):
+            Word.from_labels(("x#", "y"), ["x#", "y", "x#"])
+
+
 class TestOrientationFiles:
     def test_round_trip(self):
         D = Orientation.from_arcs(path_graph(("a", "b", "c")), [("a", "b"), ("c", "b")])

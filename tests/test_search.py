@@ -5,7 +5,9 @@ import random
 import subprocess
 import sys
 from contextlib import nullcontext
+from itertools import permutations
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,7 +22,7 @@ from oracles import (
     slow_search_uniform_word,
 )
 from wordrep import _kernels, orient, search
-from wordrep.core import Graph, complete_graph, cycle_graph, empty_graph, path_graph
+from wordrep.core import Graph, complete_graph, cycle_graph, empty_graph, iter_mask, path_graph
 from wordrep.graph6 import HEADER, parse_graph6, write_graph6
 from wordrep.orient import BudgetExceeded, _Budget, search_semi_transitive
 from wordrep.search import (
@@ -42,6 +44,47 @@ from wordrep.verify import graph_of_word, uniformity, verify_k11
 
 PETERSEN_G6 = "IheA@GUAo"
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _record_lookups(mp) -> set:
+    """Patch ``search._refuted_deletion`` through the monkeypatch ``mp`` to
+    collect the forms that a lookup decides; return that set."""
+    looked_up = set()
+    lookup = search._refuted_deletion
+
+    def recorded(n, form, refuted):
+        deletion = lookup(n, form, refuted)
+        if deletion is not None:
+            looked_up.add(form)
+        return deletion
+
+    mp.setattr(search, "_refuted_deletion", recorded)
+    return looked_up
+
+
+def _is_connected_deletion(G, parent) -> bool:
+    """Is the graph with canonical bits ``parent`` on G.n - 1 vertices a
+    connected one-vertex deletion of G?"""
+    deletions = (G.delete_vertex(v) for v in G.labels)
+    return any(D.is_connected() and canonical_form(D) == (G.n - 1, parent) for D in deletions)
+
+
+def _is_minimal_non_word_representable(G) -> bool:
+    return not is_word_representable(G) and all(is_word_representable(G.delete_vertex(v)) for v in G.labels)
+
+
+@pytest.fixture(scope="module")
+def census_8():
+    """``census_non_word_representable(8)`` from one growth of level 8,
+    shared by the tests that read it: the result, the grown verdicts and
+    the forms that a lookup decided."""
+    grown = []
+    grow = search._grown_verdicts
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_grown_verdicts", lambda n, jobs: grown.append(grow(n, jobs)) or grown[-1])
+        looked_up = _record_lookups(mp)
+        result = census_non_word_representable(8)
+    return SimpleNamespace(result=result, verdicts=grown[0][0], looked_up=looked_up)
 
 
 @pytest.fixture
@@ -213,10 +256,13 @@ class TestEnumeration:
 
     def test_counts_n8(self, monkeypatch):
         # the full family is grown (about 2 s); the connected one is then
-        # read off it, so no smaller connected family is ever built
+        # read off it, so no smaller connected family is ever built.  The
+        # digests are those of the growth that listed every automorphism
         monkeypatch.setattr(search, "_enum_cache", {})
-        assert sum(1 for _ in enumerate_nonisomorphic(8)) == 12346
-        assert sum(1 for _ in enumerate_nonisomorphic(8, connected_only=True)) == 11117
+        every = [(G.labels, G.adj) for G in enumerate_nonisomorphic(8)]
+        connected = [(G.labels, G.adj) for G in enumerate_nonisomorphic(8, connected_only=True)]
+        assert (len(every), _sha16(every)) == (12346, "396a4aece822e518")
+        assert (len(connected), _sha16(connected)) == (11117, "2742da3077c58766")
         assert not any(connected for n, connected in search._enum_cache if n < 8)
 
     def test_counts_connected(self):
@@ -263,11 +309,12 @@ class TestEnumeration:
         # level 7 as it grows it; the 510 children whose new vertex is their
         # only canonical deletion and whose extension succeeds get no form
         # (1,048 calls with a form for every child; 1,361 with the degree
-        # rule alone)
+        # rule alone).  Looking up the 42 open forms costs 7 forms of
+        # deletions, all hits
         monkeypatch.setattr(search, "_enum_cache", {})
         calls.clear()
         census_non_word_representable(7)
-        assert len(calls) == 538
+        assert len(calls) == 538 + 7
 
     @staticmethod
     def _keeps(adj, connected):
@@ -342,6 +389,32 @@ class TestEnumeration:
                             assert bool(rule) == slow_is_canonical_deletion(child, connected)
                             assert (rule == search._SOLE) == slow_is_sole_canonical_deletion(child, connected)
 
+    @staticmethod
+    def _check_cosets(G):
+        # the representatives followed by every twin swap are the whole
+        # group, each automorphism once, so no two representatives differ
+        # by a twin swap; each maps every twin class onto its image in
+        # increasing order.  Twins are the pairs whose transposition is an
+        # automorphism, by brute force
+        n = G.n
+        every = brute_force_automorphisms(G)
+        known = set(every)
+
+        def swapped(u, v):
+            return tuple(v if w == u else u if w == v else w for w in range(n))
+
+        classes = {tuple(u for u in range(n) if u == v or swapped(u, v) in known) for v in range(n)}
+        assert {tuple(iter_mask(t)) for t in search._twin_classes(G.adj)} == classes
+        swaps = [{}]
+        for cls in classes:
+            swaps = [{**s, **dict(zip(cls, image))} for s in swaps for image in permutations(cls)]
+        reps = _automorphisms(G)
+        group = [tuple(s.get(v, v) for v in p) for p in reps for s in swaps]
+        assert sorted(group) == every
+        assert len(set(group)) == len(group)
+        for p in reps:
+            assert all(sorted(p[v] for v in cls) == [p[v] for v in cls] for cls in classes)
+
     def test_automorphisms_match_brute_force(self):
         # each graph as enumerated, and relabelled so that its refined
         # classes are not runs of consecutive indices
@@ -349,7 +422,7 @@ class TestEnumeration:
         for n in range(1, 7):
             for G in enumerate_nonisomorphic(n):
                 for F in (G, relabelled(rng, G)):
-                    assert sorted(_automorphisms(F)) == brute_force_automorphisms(F)
+                    self._check_cosets(F)
 
     def test_automorphisms_match_brute_force_at_7(self):
         labels = tuple("1234567")
@@ -364,7 +437,7 @@ class TestEnumeration:
             pairs = [(i, j) for i in range(7) for j in range(i + 1, 7) if rng.random() < 0.5]
             graphs.append(Graph.from_index_edges(labels, pairs))
         for G in graphs:
-            assert sorted(_automorphisms(G)) == brute_force_automorphisms(G)
+            self._check_cosets(G)
 
     def test_range_checks(self):
         with pytest.raises(ValueError):
@@ -490,23 +563,24 @@ class TestCensus:
         assert sum(b.used for b in budgets) == 16747
 
     def test_grown_census_nodes_n7(self, monkeypatch):
-        # full searches of the 112 parents and of the 42 forms no extension
-        # decided, plus the arcs of 846 extensions (803 succeed): 7,792 nodes
-        # instead of the 16,747 of a full search per graph
+        # full searches of the 112 parents and of the 35 forms that neither
+        # an extension nor a lookup decided, plus the arcs of 846 extensions
+        # (803 succeed): 5,478 nodes instead of the 16,747 of a full search
+        # per graph (7,792 when the 7 looked-up forms were searched too)
         search._canonical_bits_upto(6, True)
         budgets = self._record_budgets(monkeypatch)
         r = census_non_word_representable(7)
         assert (r.examined, len(r.non_word_representable)) == (853, 25)
-        assert len(budgets) == 112 + 42 + 846
-        assert sum(b.used for b in budgets) == 7792
+        assert len(budgets) == 112 + 35 + 846
+        assert sum(b.used for b in budgets) == 5478
 
     def test_grown_verdicts_equal_full_search_up_to_7(self, monkeypatch):
         # every "yes" of an extension is a semi-transitive orientation, every
-        # inherited "no" names a refuted parent that the child induces, and
-        # every verdict is a full search's.  The children counted without a
-        # form (the extended orientations whose form no verdict holds) are
-        # distinct classes, and together with the verdicts they are the
-        # whole level
+        # inherited or looked-up "no" names a refuted parent that the child
+        # induces, and every verdict is a full search's.  The children
+        # counted without a form (the extended orientations whose form no
+        # verdict holds) are distinct classes, and together with the
+        # verdicts they are the whole level
         extended = []
 
         def checked(G, succ):
@@ -514,6 +588,7 @@ class TestCensus:
             return extended[-1]
 
         monkeypatch.setattr(search, "Orientation", checked)
+        looked_up = _record_lookups(monkeypatch)
         kinds = {}
         for n in range(2, 8):
             extended.clear()
@@ -528,18 +603,22 @@ class TestCensus:
                 G = graph_from_canonical_bits(n, form)
                 assert ok == is_word_representable(G)
                 if parent is None:
-                    kind = "searched"
+                    kind = "searched" if ok else "searched no"
+                    if not ok:
+                        assert _is_minimal_non_word_representable(G)
                 else:
-                    kind = "extended" if ok else "inherited"
+                    kind = "looked-up" if form in looked_up else "extended" if ok else "inherited"
                     H = graph_from_canonical_bits(n - 1, parent)
                     assert (search_semi_transitive(H) is not None) == ok
-                    assert (n - 1, parent) in {canonical_form(G.delete_vertex(v)) for v in G.labels}
+                    assert _is_connected_deletion(G, parent)
                 kinds[n, kind] = kinds.get((n, kind), 0) + 1
             kinds[n, "sole"] = skipped
-        assert not any(kind == "inherited" for n, kind in kinds if n < 7)
-        # census 7: 803 forms extended, 510 of them counted without a form
-        split = tuple(kinds[7, kind] for kind in ("extended", "sole", "inherited", "searched"))
-        assert split == (293, 510, 8, 42)
+        assert not any(kind in ("inherited", "looked-up") for n, kind in kinds if n < 7)
+        assert [kinds.get((n, "searched no"), 0) for n in range(2, 8)] == [0, 0, 0, 0, 1, 10]
+        # census 7: 803 forms extended, 510 of them counted without a form;
+        # 25 "no"s, of which only the 10 minimal ones are searched
+        split = tuple(kinds[7, kind] for kind in ("extended", "sole", "inherited", "looked-up", "searched", "searched no"))
+        assert split == (293, 510, 8, 7, 25, 10)
         assert census_non_word_representable(1) == search.CensusResult(1, 1, ())
 
     def test_pool_has_at_most_one_worker_per_cpu(self, monkeypatch, fake_executor):
@@ -590,14 +669,34 @@ class TestCensus:
     def test_grown_verdicts_identical_across_jobs(self):
         assert search._grown_verdicts(7, 2) == search._grown_verdicts(7, 1)
 
-    def test_census_8(self):
+    def test_census_8(self, census_8):
         # the published count (Kitaev-Lozin, Words and Graphs); the digest is
         # that of census_from_graph6 over the 11,117 graphs, a full search
-        # each.  About 5 s from an empty cache on the pure kernels (2 vCPUs),
-        # 3.8 s of it to grow and decide the 8-vertex family.
-        r = census_non_word_representable(8)
+        # each
+        r = census_8.result
         assert (r.examined, len(r.non_word_representable)) == (11117, 929)
         assert _sha16((r.n, r.examined, [(G.labels, G.adj) for G in r.non_word_representable])) == "f353ee79b0b78929"
+
+    def test_census_8_searches_only_minimal_no_instances(self, census_8):
+        # of the 929 "no"s, 528 are inherited from a refuted parent, 354 are
+        # looked up and the 47 minimal ones are searched.  Every looked-up
+        # or inherited "no" names a refuted level-7 form that is a connected
+        # one-vertex deletion of it
+        refuted = {form for form, (ok, _parent) in search._grown_verdicts(7, 1)[0].items() if not ok}
+        assert len(refuted) == 25
+        searched_no = looked_up = 0
+        for form, (ok, parent) in census_8.verdicts.items():
+            if ok:
+                continue
+            G = graph_from_canonical_bits(8, form)
+            if parent is None:
+                searched_no += 1
+                assert _is_minimal_non_word_representable(G)
+            else:
+                looked_up += form in census_8.looked_up
+                assert parent in refuted
+                assert _is_connected_deletion(G, parent)
+        assert (searched_no, looked_up, len(census_8.looked_up)) == (47, 354, 354)
 
     def test_census_from_graph6_reads_the_header(self):
         # the optional header may prefix a graph's line, as the format
