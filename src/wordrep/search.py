@@ -171,12 +171,18 @@ def _canonical_masks(n: int, bits: int) -> list[int]:
     return adj
 
 
+@lru_cache(maxsize=16)
+def _labels(n: int) -> tuple[str, ...]:
+    """The labels "1".."n" of the graphs that the enumeration builds."""
+    return tuple(str(i + 1) for i in range(n))
+
+
 def graph_from_canonical_bits(n: int, bits: int) -> Graph:
-    return Graph(tuple(str(i + 1) for i in range(n)), tuple(_canonical_masks(n, bits)))
+    return Graph(_labels(n), tuple(_canonical_masks(n, bits)))
 
 
 _BUILTIN_LIMIT = 8
-_enum_cache: dict[tuple[int, bool], list[int]] = {}
+_enum_cache: dict[int, list[int]] = {}
 
 
 def _image_mask(perm: Sequence[int], mask: int) -> int:
@@ -196,12 +202,12 @@ def _twin_classes(adj: Sequence[int]) -> list[int]:
     return [sum(1 << u for u, b in enumerate(adj) if b & ~(1 << v) == a & ~(1 << u)) for v, a in enumerate(adj)]
 
 
-def _automorphisms(G: Graph) -> list[tuple[int, ...]]:
+def _automorphisms(G: Graph, twins: Sequence[int]) -> list[tuple[int, ...]]:
     """One automorphism of G per coset of its twin-swap subgroup (the
-    permutations of each twin class, ``_twin_classes``), as image tuples
-    (p[v] is the image of v): the one that maps each twin class onto its
-    image in increasing order.  Every automorphism is exactly one of these
-    followed by a permutation of each twin class.
+    permutations of each of its twin classes ``twins``, as ``_twin_classes``
+    gives them), as image tuples (p[v] is the image of v): the one that maps
+    each twin class onto its image in increasing order.  Every automorphism
+    is exactly one of these followed by a permutation of each twin class.
 
     Images are assigned one vertex at a time, class by class in
     ``_refined_classes`` order, each class in increasing order: an
@@ -217,7 +223,6 @@ def _automorphisms(G: Graph) -> list[tuple[int, ...]]:
     """
     n = G.n
     adj = G.adj
-    twins = _twin_classes(adj)
     order = []
     class_mask = [0] * n
     for cls in _refined_classes(G):
@@ -258,12 +263,12 @@ def _automorphisms(G: Graph) -> list[tuple[int, ...]]:
 _DROP, _TIED, _SOLE = 0, 1, 2
 
 
-def _deletion_rule(adj: Sequence[int], connected: bool) -> Callable[[int], int]:
+def _deletion_rule(adj: Sequence[int]) -> Callable[[int], int]:
     """The canonical-deletion test for the one-vertex extensions of the
     graph H with adjacency masks ``adj``: ``keeps(nbh)`` tells whether the
-    new vertex, joined to the vertices of the mask ``nbh``, minimises
-    (degree, -sum of its neighbours' degrees) among the child's vertices (if
-    ``connected``: among the child's non-cut vertices).  It returns
+    new vertex, joined to the vertices of the non-empty mask ``nbh``,
+    minimises (degree, -sum of its neighbours' degrees) among the child's
+    non-cut vertices.  It returns
     ``_DROP`` if it does not, ``_SOLE`` if it is the only such minimiser and
     ``_TIED`` if another vertex ties with it; both keeps are truthy.
 
@@ -287,14 +292,11 @@ def _deletion_rule(adj: Sequence[int], connected: bool) -> Callable[[int], int]:
     for k in range(1, m + 1):
         below[k] = below[k - 1] | equal[k - 1]
     every = (1 << m) - 1
-    parts = [_components(adj, every ^ 1 << w) for w in range(m)] if connected else None
+    parts = [_components(adj, every ^ 1 << w) for w in range(m)]
 
     def eligible(group: int, nbh: int) -> bool:
-        """Does the vertex mask ``group`` hold a vertex that the rule ranks
-        against the new vertex joined to ``nbh``: any vertex, or if
-        ``connected``, one that is not a cut vertex of the child?"""
-        if not connected:
-            return group != 0
+        """Does the vertex mask ``group`` hold a vertex that is not a cut
+        vertex of the child, the new vertex joined to ``nbh``?"""
         while group:
             low = group & -group
             group ^= low
@@ -304,9 +306,6 @@ def _deletion_rule(adj: Sequence[int], connected: bool) -> Callable[[int], int]:
 
     def keeps(nbh: int) -> int:
         d = nbh.bit_count()
-        if not d:
-            # only isolated vertices tie with it, all at sum 0
-            return _TIED if equal[0] else _SOLE
         if eligible(below[d - 1] | equal[d - 1] & ~nbh, nbh):
             return _DROP
         same_degree = equal[d - 1] & nbh | equal[d] & ~nbh
@@ -334,52 +333,39 @@ def _deletion_rule(adj: Sequence[int], connected: bool) -> Callable[[int], int]:
     return keeps
 
 
-def _canonical_bits_upto(n: int, connected: bool) -> list[int]:
-    """Sorted canonical bits of the graphs on n vertices (connected ones only
-    if ``connected``), grown by one-vertex extensions of the family on n - 1.
+def _canonical_bits_upto(n: int) -> list[int]:
+    """Sorted canonical bits of the connected graphs on n vertices, grown by
+    one-vertex extensions of the family on n - 1.
 
     Every connected graph has a vertex whose removal leaves it connected, so
-    the connected family grows from connected parents alone, by a vertex with
-    a non-empty neighbourhood.  Extensions by masks that an automorphism of
+    the family grows from connected parents alone, by a vertex with a
+    non-empty neighbourhood.  Extensions by masks that an automorphism of
     the parent maps onto each other are isomorphic; only the smallest mask of
     each orbit is canonicalized.
 
     Canonical deletion: an extension is kept only if its new vertex is one
     the child could have been grown from, that is, one that minimises the
     isomorphism invariant (degree, -sum of neighbour degrees) among the
-    child's vertices (in the connected family: among the child's non-cut
-    vertices; the new vertex is never a cut vertex, as its parent is
-    connected).  Every class still appears.  Take a vertex v of a graph G
-    that meets the rule: G - v is in the parent family (connected when v is
-    not a cut vertex), so some parent H has an extension isomorphic to G
-    with v as its new vertex, and it passes the filter, as degrees,
-    neighbour-degree sums and cut vertices are invariant.  Orbit pruning
-    keeps this: an automorphism of H extends to an isomorphism of the
-    children that fixes the new vertex, so the filter passes or fails a
-    whole orbit at once.  ``_deletion_rule`` decides the filter for each
+    child's non-cut vertices (the new vertex is never a cut vertex, as its
+    parent is connected).  Every class still appears.  Take a vertex v of a
+    graph G that meets the rule: G - v is connected, so some parent H has an
+    extension isomorphic to G with v as its new vertex, and it passes the
+    filter, as degrees, neighbour-degree sums and cut vertices are
+    invariant.  Orbit pruning keeps this: an automorphism of H extends to an
+    isomorphism of the children that fixes the new vertex, so the filter
+    passes or fails a whole orbit at once.  ``_deletion_rule`` decides the filter for each
     mask from degree, neighbour-degree-sum and component tables built once
     per parent, so only a child that passes gets a mask list, a ``Graph``
     and a canonical form.
-
-    When the full family on n is already built, the connected one is read
-    off it instead.
     """
-    key = (n, connected)
-    if key in _enum_cache:
-        return _enum_cache[key]
-    if connected and (n, False) in _enum_cache:
-        every = (1 << n) - 1
-        forms = [b for b in _enum_cache[n, False] if _induces_connected(_canonical_masks(n, b), every)]
-    elif n == 1:
-        forms = [0]
-    else:
-        forms = sorted({canonical_form(child)[1] for bits in _canonical_bits_upto(n - 1, connected)
-                        for _nbh, child, _sole in _children(n, bits, connected)})
-    _enum_cache[key] = forms
-    return forms
+    if n not in _enum_cache:
+        _enum_cache[n] = [0] if n == 1 else sorted({
+            canonical_form(child)[1] for bits in _canonical_bits_upto(n - 1)
+            for _nbh, child, _sole in _children(n, bits)})
+    return _enum_cache[n]
 
 
-def _children(n: int, bits: int, connected: bool) -> Iterator[tuple[int, Graph, bool]]:
+def _children(n: int, bits: int) -> Iterator[tuple[int, Graph, bool]]:
     """``(nbh, child, sole)`` for each extension of the parent with canonical
     bits ``bits`` on n - 1 vertices that ``_canonical_bits_upto`` keeps: the
     new vertex n - 1 joined to the mask ``nbh``, the child in the parent's
@@ -388,12 +374,11 @@ def _children(n: int, bits: int, connected: bool) -> Iterator[tuple[int, Graph, 
 
     A sole child's class is met once in the whole growth of the level, here.
     Suppose an isomorphism phi maps another kept extension (H', nbh') onto
-    this child G.  Then phi maps the new vertex of (H', nbh') to a minimiser
-    of G (a non-cut one, in the connected family), which is unique: it is
-    G's new vertex.  So H' is isomorphic to this parent H, hence H' = H, as
-    the parents are distinct canonical forms, and phi restricted to H is an
-    automorphism taking nbh' to nbh.  Orbit pruning keeps one mask per
-    orbit, so nbh' = nbh.
+    this child G.  Then phi maps the new vertex of (H', nbh') to a non-cut
+    minimiser of G, which is unique: it is G's new vertex.  So H' is
+    isomorphic to this parent H, hence H' = H, as the parents are distinct
+    canonical forms, and phi restricted to H is an automorphism taking nbh'
+    to nbh.  Orbit pruning keeps one mask per orbit, so nbh' = nbh.
 
     Orbits are taken modulo twins.  Only twin-canonical masks are listed:
     those that hold, of each twin class (``_twin_classes``), its lowest
@@ -404,17 +389,18 @@ def _children(n: int, bits: int, connected: bool) -> Iterator[tuple[int, Graph, 
     These map each twin class onto its image in increasing order, so the
     image of a twin-canonical mask is twin-canonical as it stands."""
     base = graph_from_canonical_bits(n - 1, bits)
-    labels = tuple(str(i + 1) for i in range(n))
+    twins = _twin_classes(base.adj)
     identity = tuple(range(n - 1))
     # the identity maps a mask onto itself, which the loop has passed
-    autos = [p for p in _automorphisms(base) if p != identity]
-    keeps = _deletion_rule(base.adj, connected)
+    autos = [p for p in _automorphisms(base, twins) if p != identity]
+    keeps = _deletion_rule(base.adj)
     masks = [0]  # the twin-canonical masks: the lowest k of each twin class
-    for twins in set(_twin_classes(base.adj)):
-        masks += [m | twins & (2 << v) - 1 for m in masks for v in iter_mask(twins)]
+    for cls in set(twins):
+        masks += [m | cls & (2 << v) - 1 for m in masks for v in iter_mask(cls)]
     seen = set()
-    # ascending order: the first mask met in an orbit is its smallest
-    for nbh in sorted(masks)[1 if connected else 0:]:
+    # ascending order: the first mask met in an orbit is its smallest; the
+    # empty mask would disconnect the child
+    for nbh in sorted(masks)[1:]:
         if nbh in seen:
             continue
         rule = keeps(nbh)
@@ -423,14 +409,25 @@ def _children(n: int, bits: int, connected: bool) -> Iterator[tuple[int, Graph, 
         seen.update(_image_mask(p, nbh) for p in autos)
         child = [m | (nbh >> v & 1) << (n - 1) for v, m in enumerate(base.adj)]
         child.append(nbh)
-        yield nbh, Graph(labels, tuple(child)), rule == _SOLE
+        yield nbh, Graph(_labels(n), tuple(child)), rule == _SOLE
 
 
 def enumerate_nonisomorphic(n: int, connected_only: bool = False) -> Iterator[Graph]:
-    """One representative per isomorphism class, deterministic canonical order."""
+    """One representative per isomorphism class, deterministic canonical order.
+
+    Only the connected graphs are grown (``_canonical_bits_upto``).  The
+    complement of a disconnected graph is connected, so the other classes
+    are the complements of the connected graphs whose complement is
+    disconnected, each met once."""
     if n < 1 or n > _BUILTIN_LIMIT:
         raise ValueError(f"built-in generator supports 1 <= n <= {_BUILTIN_LIMIT}")
-    for bits in _canonical_bits_upto(n, connected_only):
+    forms = _canonical_bits_upto(n)
+    if not connected_only:
+        every = (1 << n) - 1
+        complements = (tuple(every ^ 1 << v ^ a for v, a in enumerate(_canonical_masks(n, bits))) for bits in forms)
+        forms = sorted(forms + [canonical_form(Graph(_labels(n), masks))[1]
+                                for masks in complements if not _induces_connected(masks, every)])
+    for bits in forms:
         yield graph_from_canonical_bits(n, bits)
 
 
@@ -514,14 +511,15 @@ def _refuted_deletion(n: int, form: int, refuted: dict[tuple[int, ...], set[int]
     C + v is connected and misses a vertex of G, so a spanning tree of G
     that extends one of C + v has a leaf w outside C + v: G - w is connected
     and induces C."""
-    adj = _canonical_masks(n, form)
+    G = graph_from_canonical_bits(n, form)
+    adj = G.adj
     every = (1 << n) - 1
     for v in range(n):
         keep = every ^ 1 << v
         degrees = tuple(sorted((a & keep).bit_count() for u, a in enumerate(adj) if u != v))
         candidates = refuted.get(degrees)
         if candidates and _induces_connected(adj, keep):
-            deletion = canonical_form(graph_from_canonical_bits(n, form).delete_vertex(str(v + 1)))[1]
+            deletion = canonical_form(G.delete_vertex(G.labels[v]))[1]
             if deletion in candidates:
                 return deletion
     return None
@@ -562,7 +560,7 @@ def _grown_verdicts(n: int, jobs: int) -> tuple[dict[int, tuple[bool, Optional[i
     verdicts, which follow the parents' canonical order, do not depend on
     ``jobs``.
     """
-    parents = _canonical_bits_upto(n - 1, True)
+    parents = _canonical_bits_upto(n - 1)
     verdicts = {}
     skipped = 0
     forms = set()
@@ -575,7 +573,7 @@ def _grown_verdicts(n: int, jobs: int) -> tuple[dict[int, tuple[bool, Optional[i
             else:
                 degrees = tuple(sorted(a.bit_count() for a in _canonical_masks(n - 1, bits)))
                 refuted.setdefault(degrees, set()).add(bits)
-            for nbh, child, sole in _children(n, bits, True):
+            for nbh, child, sole in _children(n, bits):
                 if sole and found is not None:
                     if _extend(child, nbh, start) is not None:
                         skipped += 1

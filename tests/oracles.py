@@ -560,11 +560,11 @@ def slow_graph_from_bits(n: int, bits: int) -> Graph:
     return Graph.from_index_edges(tuple(str(i + 1) for i in range(n)), edges)
 
 
-def _deletion_keys(adj, connected: bool) -> tuple[list, list[int]]:
+def _deletion_keys(adj) -> tuple[list, list[int]]:
     """(degree, -sum of neighbours' degrees) of each vertex of the graph with
-    adjacency masks ``adj``, and the vertices eligible for deletion: all (if
-    ``connected``: those whose removal leaves the graph connected, found by a
-    breadth-first search of the graph without the vertex)."""
+    adjacency masks ``adj``, and the vertices eligible for deletion: those
+    whose removal leaves the graph connected, found by a breadth-first
+    search of the graph without the vertex."""
     n = len(adj)
     nbrs = [[u for u in range(n) if adj[v] >> u & 1] for v in range(n)]
     deg = [len(nb) for nb in nbrs]
@@ -582,23 +582,23 @@ def _deletion_keys(adj, connected: bool) -> tuple[list, list[int]]:
                     frontier.append(x)
         return len(reached) == len(rest)
 
-    return key, [v for v in range(n) if not connected or connected_without(v)]
+    return key, [v for v in range(n) if connected_without(v)]
 
 
-def slow_is_canonical_deletion(adj, connected: bool) -> bool:
+def slow_is_canonical_deletion(adj) -> bool:
     """Whether the last vertex of the graph with adjacency masks ``adj``
-    minimises (degree, -sum of its neighbours' degrees) among all vertices
-    (if ``connected``: among those whose removal leaves the graph
-    connected).  Everything is recomputed on this graph alone."""
-    key, eligible = _deletion_keys(adj, connected)
+    minimises (degree, -sum of its neighbours' degrees) among the vertices
+    whose removal leaves the graph connected.  Everything is recomputed on
+    this graph alone."""
+    key, eligible = _deletion_keys(adj)
     return all(key[-1] <= key[v] for v in eligible)
 
 
-def slow_is_sole_canonical_deletion(adj, connected: bool) -> bool:
+def slow_is_sole_canonical_deletion(adj) -> bool:
     """Whether the last vertex of the graph with adjacency masks ``adj`` is
     the only minimiser of (degree, -sum of its neighbours' degrees) among
     the vertices ``slow_is_canonical_deletion`` compares it with."""
-    key, eligible = _deletion_keys(adj, connected)
+    key, eligible = _deletion_keys(adj)
     last = len(adj) - 1
     return all(key[last] < key[v] for v in eligible if v != last)
 

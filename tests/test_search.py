@@ -255,55 +255,50 @@ class TestEnumeration:
             assert sum(1 for _ in enumerate_nonisomorphic(n)) == count
 
     def test_counts_n8(self, monkeypatch):
-        # the full family is grown (about 2 s); the connected one is then
-        # read off it, so no smaller connected family is ever built.  The
-        # digests are those of the growth that listed every automorphism
+        # the connected family is grown (about 2 s); the full one adds the
+        # forms of the 1,229 disconnected complements.  The digests are those
+        # of the growth that listed every automorphism
         monkeypatch.setattr(search, "_enum_cache", {})
         every = [(G.labels, G.adj) for G in enumerate_nonisomorphic(8)]
         connected = [(G.labels, G.adj) for G in enumerate_nonisomorphic(8, connected_only=True)]
         assert (len(every), _sha16(every)) == (12346, "396a4aece822e518")
         assert (len(connected), _sha16(connected)) == (11117, "2742da3077c58766")
-        assert not any(connected for n, connected in search._enum_cache if n < 8)
 
     def test_counts_connected(self):
         expected = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
         for n, count in expected.items():
             assert sum(1 for _ in enumerate_nonisomorphic(n, connected_only=True)) == count
 
-    def test_connected_family_is_the_connected_part(self, monkeypatch):
-        # the connected family is grown from connected parents only; it must
-        # still be exactly the connected members of the full family, in order.
-        # An empty cache makes sure the grown families are the ones compared,
-        # not ones read off an already built full family.
-        monkeypatch.setattr(search, "_enum_cache", {})
-        grown = [[G.adj for G in enumerate_nonisomorphic(n, connected_only=True)] for n in range(1, 8)]
-        assert all(connected for _n, connected in search._enum_cache)
+    def test_connected_family_is_the_connected_part(self):
+        # the connected family must be exactly the connected members of the
+        # full family, in order
         for n in range(1, 8):
-            assert grown[n - 1] == [G.adj for G in enumerate_nonisomorphic(n) if G.is_connected()]
-        # with the full family built, the connected one is read off it
-        monkeypatch.setattr(search, "_enum_cache", {(n, False): search._enum_cache[n, False] for n in range(1, 8)})
-        for n in range(1, 8):
-            assert [G.adj for G in enumerate_nonisomorphic(n, connected_only=True)] == grown[n - 1]
+            assert [G.adj for G in enumerate_nonisomorphic(n, connected_only=True)] == [
+                G.adj for G in enumerate_nonisomorphic(n) if G.is_connected()
+            ]
 
     def test_growth_matches_unfiltered_growth_up_to_7(self, monkeypatch):
-        # the canonical-deletion filter drops extensions, never classes.
-        # Connected families first, so that they are grown, not read off.
+        # the canonical-deletion filter drops extensions, never classes; the
+        # complements of the connected graphs add every other class.  The
+        # reference grows each family on its own, without the filter
         monkeypatch.setattr(search, "_enum_cache", {})
-        for connected in (True, False):
-            for n in range(1, 8):
-                assert search._canonical_bits_upto(n, connected) == slow_canonical_bits_upto(n, connected)
+        for n in range(1, 8):
+            assert search._canonical_bits_upto(n) == slow_canonical_bits_upto(n, True)
+            assert [G.adj for G in enumerate_nonisomorphic(n)] == [
+                graph_from_canonical_bits(n, bits).adj for bits in slow_canonical_bits_upto(n, False)
+            ]
 
     def test_canonical_form_calls_at_7(self, monkeypatch):
         # the extensions that pass the filter and the orbit pruning at n = 7
-        # (3,771 connected and 5,096 in all without the filter; 1,192 and
-        # 1,401 with the degree rule alone)
+        # (3,771 without the filter, 1,192 with the degree rule alone); the
+        # full family adds the forms of the 191 disconnected complements
         calls = []
         monkeypatch.setattr(search, "canonical_form", lambda G: calls.append(G) or canonical_form(G))
-        for connected, expected in ((True, 903), (False, 1096)):
+        for connected, expected in ((True, 903), (False, 903 + 191)):
             monkeypatch.setattr(search, "_enum_cache", {})
-            search._canonical_bits_upto(6, connected)
+            search._canonical_bits_upto(6)
             calls.clear()
-            search._canonical_bits_upto(7, connected)
+            list(enumerate_nonisomorphic(7, connected))
             assert len(calls) == expected
         # a census grows the connected families on 2..6 vertices and decides
         # level 7 as it grows it; the 510 children whose new vertex is their
@@ -317,14 +312,14 @@ class TestEnumeration:
         assert len(calls) == 538 + 7
 
     @staticmethod
-    def _keeps(adj, connected):
+    def _keeps(adj):
         # the filter's decision for the child with masks adj, grown by its
         # last vertex from the parent without it; the oracles must agree
         last = len(adj) - 1
         parent = [m & ~(1 << last) for m in adj[:last]]
-        keeps = search._deletion_rule(parent, connected)(adj[last])
-        assert bool(keeps) == slow_is_canonical_deletion(adj, connected)
-        assert (keeps == search._SOLE) == slow_is_sole_canonical_deletion(adj, connected)
+        keeps = search._deletion_rule(parent)(adj[last])
+        assert bool(keeps) == slow_is_canonical_deletion(adj)
+        assert (keeps == search._SOLE) == slow_is_sole_canonical_deletion(adj)
         return keeps
 
     def test_canonical_deletion_rule(self):
@@ -332,8 +327,7 @@ class TestEnumeration:
         DROP, TIED, SOLE = search._DROP, search._TIED, search._SOLE
         # a path 0-2-1 grown by its middle vertex: the leaves are lighter
         # and are not cut vertices
-        assert keeps([0b100, 0b100, 0b011], True) == DROP
-        assert keeps([0b100, 0b100, 0b011], False) == DROP
+        assert keeps([0b100, 0b100, 0b011]) == DROP
         # two K4s, {0..3} and {5..8}, joined through vertex 4 (degree 2, a
         # cut vertex).  Vertex 8 (degree 3) is of minimum degree among the
         # non-cut vertices only; no connected graph on 8 or fewer vertices
@@ -341,53 +335,45 @@ class TestEnumeration:
         # with 6 and 7 at degree 3 and sum 10
         pairs = [(i, j) for k in (0, 5) for i in range(k, k + 4) for j in range(i + 1, k + 4)]
         G = Graph.from_index_edges(tuple(str(i) for i in range(9)), pairs + [(3, 4), (4, 5)])
-        assert keeps(G.adj, True) == TIED
-        assert keeps(G.adj, False) == DROP
+        assert keeps(G.adj) == TIED
         # every vertex of K_4 ties at degree 3 and sum 9: ties are allowed
-        K4 = complete_graph(tuple("1234"))
-        assert keeps(K4.adj, True) == keeps(K4.adj, False) == TIED
+        assert keeps(complete_graph(tuple("1234")).adj) == TIED
         # degree ties decided by neighbour-degree sums: the star with centre
         # 0 and leaves 1, 2, 3, grown by a leaf 4 on leaf 1.  Vertex 4 has
         # degree 1 and sum 2; leaves 2 and 3 have degree 1 and sum 3
         star = [0b1110, 0b0001, 0b0001, 0b0001]
-        assert keeps(star[:1] + [star[1] | 0b10000] + star[2:] + [0b10], True) == DROP
-        assert keeps(star[:1] + [star[1] | 0b10000] + star[2:] + [0b10], False) == DROP
+        assert keeps(star[:1] + [star[1] | 0b10000] + star[2:] + [0b10]) == DROP
         # grown on the centre instead, vertex 4 ties with every leaf at
         # degree 1 and sum 4
-        assert keeps([star[0] | 0b10000] + star[1:] + [0b1], True) == TIED
-        assert keeps([star[0] | 0b10000] + star[1:] + [0b1], False) == TIED
+        assert keeps([star[0] | 0b10000] + star[1:] + [0b1]) == TIED
         # the path 0-1-2 grown by a leaf 3 on 0: vertex 3 (degree 1, sum 2)
         # ties with leaf 2 (degree 1, sum 2)
-        assert keeps([0b1010, 0b0101, 0b0010, 0b0001], True) == TIED
+        assert keeps([0b1010, 0b0101, 0b0010, 0b0001]) == TIED
         # a pendant 3 on vertex 0 of the triangle 0-1-2 is the only vertex
         # of degree 1
-        pendant = [0b1110, 0b0101, 0b0011, 0b0001]
-        assert keeps(pendant, True) == keeps(pendant, False) == SOLE
-        # a tie with a cut vertex does not count in the connected family: the
-        # triangle 0-1-4, the path 4-2-5 and the diamond 5-6-3-7 (no edge
-        # 5-7), grown by 7 on 3 and 6.  Vertex 7 (degree 2, sum 6) ties only
-        # with the cut vertex 2; the only connected graph on 8 or fewer
-        # vertices with such a vertex
+        assert keeps([0b1110, 0b0101, 0b0011, 0b0001]) == SOLE
+        # a tie with a cut vertex does not count: the triangle 0-1-4, the
+        # path 4-2-5 and the diamond 5-6-3-7 (no edge 5-7), grown by 7 on 3
+        # and 6.  Vertex 7 (degree 2, sum 6) ties only with the cut vertex 2;
+        # the only connected graph on 8 or fewer vertices with such a vertex
         pairs = [(0, 1), (0, 4), (1, 4), (2, 4), (2, 5), (3, 5), (3, 6), (5, 6), (3, 7), (6, 7)]
         G = Graph.from_index_edges(tuple(str(i) for i in range(8)), pairs)
-        assert keeps(G.adj, True) == SOLE
-        assert keeps(G.adj, False) == TIED
+        assert keeps(G.adj) == SOLE
 
     def test_deletion_rule_matches_oracle_up_to_6(self):
         # the parent-table filter decides every extension of every parent
         # on at most 6 vertices as the child-level oracles do, keep or drop
         # and sole or not, on each parent as enumerated and relabelled
         rng = random.Random(10)
-        for connected in (True, False):
-            for m in range(1, 7):
-                for H in enumerate_nonisomorphic(m, connected):
-                    for F in (H, relabelled(rng, H)):
-                        keeps = search._deletion_rule(F.adj, connected)
-                        for nbh in range(1 if connected else 0, 1 << m):
-                            child = [a | (nbh >> v & 1) << m for v, a in enumerate(F.adj)] + [nbh]
-                            rule = keeps(nbh)
-                            assert bool(rule) == slow_is_canonical_deletion(child, connected)
-                            assert (rule == search._SOLE) == slow_is_sole_canonical_deletion(child, connected)
+        for m in range(1, 7):
+            for H in enumerate_nonisomorphic(m, connected_only=True):
+                for F in (H, relabelled(rng, H)):
+                    keeps = search._deletion_rule(F.adj)
+                    for nbh in range(1, 1 << m):
+                        child = [a | (nbh >> v & 1) << m for v, a in enumerate(F.adj)] + [nbh]
+                        rule = keeps(nbh)
+                        assert bool(rule) == slow_is_canonical_deletion(child)
+                        assert (rule == search._SOLE) == slow_is_sole_canonical_deletion(child)
 
     @staticmethod
     def _check_cosets(G):
@@ -404,11 +390,12 @@ class TestEnumeration:
             return tuple(v if w == u else u if w == v else w for w in range(n))
 
         classes = {tuple(u for u in range(n) if u == v or swapped(u, v) in known) for v in range(n)}
-        assert {tuple(iter_mask(t)) for t in search._twin_classes(G.adj)} == classes
+        twins = search._twin_classes(G.adj)
+        assert {tuple(iter_mask(t)) for t in twins} == classes
         swaps = [{}]
         for cls in classes:
             swaps = [{**s, **dict(zip(cls, image))} for s in swaps for image in permutations(cls)]
-        reps = _automorphisms(G)
+        reps = _automorphisms(G, twins)
         group = [tuple(s.get(v, v) for v in p) for p in reps for s in swaps]
         assert sorted(group) == every
         assert len(set(group)) == len(group)
@@ -567,7 +554,7 @@ class TestCensus:
         # an extension nor a lookup decided, plus the arcs of 846 extensions
         # (803 succeed): 5,478 nodes instead of the 16,747 of a full search
         # per graph (7,792 when the 7 looked-up forms were searched too)
-        search._canonical_bits_upto(6, True)
+        search._canonical_bits_upto(6)
         budgets = self._record_budgets(monkeypatch)
         r = census_non_word_representable(7)
         assert (r.examined, len(r.non_word_representable)) == (853, 25)
@@ -597,7 +584,7 @@ class TestCensus:
             forms = [canonical_form(D.base)[1] for D in extended]
             sole_forms = [form for form in forms if form not in verdicts]
             assert len(set(sole_forms)) == len(sole_forms) == skipped
-            assert sorted(set(sole_forms) | set(verdicts)) == search._canonical_bits_upto(n, True)
+            assert sorted(set(sole_forms) | set(verdicts)) == search._canonical_bits_upto(n)
             assert len(extended) == skipped + sum(1 for ok, parent in verdicts.values() if ok and parent is not None)
             for form, (ok, parent) in verdicts.items():
                 G = graph_from_canonical_bits(n, form)

@@ -1,6 +1,8 @@
 """Source checks that no installed linter makes: every name a module of
 ``src/wordrep`` imports is used in it (``__init__.py`` re-exports its
-imports, so it is left out)."""
+imports, so it is left out), and every top-level ``_private`` name that a
+module defines is read somewhere in the package outside its own
+definition."""
 
 import ast
 from pathlib import Path
@@ -34,3 +36,48 @@ def test_unused_imports_are_found():
 )
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+
+def _orphaned_private_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each top-level ``_private`` (not dunder) name that
+    a function, class or assignment of the modules ``sources`` ({module name:
+    source}) defines, and that no ``Name``, attribute or import of any of them
+    reads outside the statement that defines it.  Names are matched without
+    their module."""
+    defined = []
+    used = set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                own = {node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)}
+            else:
+                own = set()
+            defined += [(module, name) for name in own if name.startswith("_") and not name.startswith("__")]
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name not in own:
+                    used.add(name)
+    return sorted(f"{module}.{name}" for module, name in defined if name not in used)
+
+
+def test_orphaned_private_names_are_found():
+    sources = {
+        "a": "def _rec(k):\n    return _rec(k - 1)\n_X, _Y = 1, 2\n_Z: int = _Y\n__all__ = []\n",
+        "b": "from .a import _Z\nclass _C:\n    pass\ndef f():\n    return a._helper\n_helper = _C\n",
+    }
+    assert _orphaned_private_names(sources) == ["a._X", "a._rec"]
+
+
+def test_no_orphaned_private_names():
+    assert _orphaned_private_names({p.stem: p.read_text() for p in sorted(_SRC.glob("*.py"))}) == []
