@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import Graph, Word, cycle_graph
+from .core import Graph, Word, _labels, cycle_graph
 from .construct import mycielski
 from .orient import Orientation, is_semi_transitive
 from .verify import induces_copy, uniformity, verify_k11
@@ -98,10 +98,6 @@ class CatalogEntry:
     golden_words: tuple[tuple[Word, int], ...] = ()
     golden_orientations: tuple[Orientation, ...] = ()
     special_subsets: dict[str, frozenset[str]] = field(default_factory=dict)
-
-
-def _labels(n: int) -> tuple[str, ...]:
-    return tuple(str(i) for i in range(1, n + 1))
 
 
 def _chvatal() -> Graph:

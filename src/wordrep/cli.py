@@ -158,11 +158,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_orient(args) -> int:
     if args.action in ("search", "search-transitive"):
-        search, refuted = {
-            "search": (search_semi_transitive, "not word-representable"),
-            "search-transitive": (search_transitive, "not a comparability graph"),
-        }[args.action]
-        D = search(_load_graph(args.target), max_nodes=_default_max_nodes())
+        G = _load_graph(args.target)
+        if args.action == "search":
+            D, refuted = search_semi_transitive(G, max_nodes=_default_max_nodes()), "not word-representable"
+        else:
+            D, refuted = search_transitive(G), "not a comparability graph"
         if D is None:
             print(f"none ({refuted})")
             return 1

@@ -98,8 +98,6 @@ def remove_edge_sets(
     pi(w) order, and P2 lists each part reversed then R.  With ``short``
     the pi(w) block is dropped (W = P1 P2 w w); both forms verify.
     """
-    if set(w.alphabet) != set(G.labels):
-        raise ValueError("word alphabet does not match graph vertices")
     if uniformity(w) is None:
         raise ValueError("word is not uniform")
     if not verify_k11(w, G, 0):
@@ -244,8 +242,7 @@ def comparability_perm_rep(D: Orientation) -> list[Permutation]:
         before.update(combinations(order, 2))
 
     perms = [Word(G.labels, tuple(order)) for order in orders]
-    if not verify_k11(perms[0].concat(*perms[1:]), G, 0):
-        raise ConstructionError("permutation list fails to represent the base graph")
+    _verified(perms[0].concat(*perms[1:]), G, 0)
     return perms
 
 

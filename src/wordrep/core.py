@@ -35,6 +35,23 @@ def _check_labels(labels: tuple, duplicate_message: str) -> None:
         _check_label(lab)
 
 
+@lru_cache(maxsize=16)
+def _labels(n: int) -> tuple[str, ...]:
+    """The labels "1".."n" that enumerated, graph6 and catalog graphs get."""
+    return tuple(str(i + 1) for i in range(n))
+
+
+def _image_mask(perm, mask: int) -> int:
+    """The image of the vertex mask ``mask`` under ``perm`` (``perm[v]`` is
+    v's image: a sequence, or a dict on the mask's vertices)."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= 1 << perm[low.bit_length() - 1]
+    return out
+
+
 @dataclass(frozen=True)
 class Graph:
     """Labeled simple undirected graph.
@@ -81,8 +98,6 @@ class Graph:
         for i, j in pairs:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError("edge endpoint out of range")
-            if i == j:
-                raise ValueError(f"self-loop at {labels[i]}")
             adj[i] |= 1 << j
             adj[j] |= 1 << i
         return cls(labels, tuple(adj))
@@ -139,7 +154,7 @@ class Graph:
             mask |= 1 << self.idx(lab)
         kept = list(iter_mask(mask))
         at = {v: k for k, v in enumerate(kept)}
-        adj = [sum(1 << at[j] for j in iter_mask(self.adj[i] & mask)) for i in kept]
+        adj = [_image_mask(at, self.adj[i] & mask) for i in kept]
         return Graph(tuple(self.labels[i] for i in kept), tuple(adj))
 
     def delete_vertex(self, label: str) -> "Graph":

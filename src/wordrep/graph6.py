@@ -7,7 +7,7 @@ long N(n) encodings (n up to 258047); vertices get labels "1".."n".
 
 from __future__ import annotations
 
-from .core import Graph
+from .core import Graph, _labels
 
 HEADER = ">>graph6<<"
 
@@ -87,4 +87,4 @@ def parse_graph6(line: str) -> Graph:
             if bits[p]:
                 pairs.append((i, j))
             p += 1
-    return Graph.from_index_edges(tuple(str(i + 1) for i in range(n)), pairs)
+    return Graph.from_index_edges(_labels(n), pairs)

@@ -174,18 +174,19 @@ def _edge_order(G: Graph) -> list[tuple[int, int]]:
 
 
 def _search(G: Graph, max_nodes: Optional[int], reject, start=None) -> Optional[list[int]]:
-    """The backtracking loop of both orientation searches, on its own stack
-    (no recursion, so no bound on the edge count): the successor masks of
-    the first acyclic orientation none of whose arcs ``reject`` rejects, or
-    None.
+    """The backtracking loop of the semi-transitive search and the census's
+    extensions, on its own stack (no recursion, so no bound on the edge
+    count): the successor masks of the first acyclic orientation none of
+    whose arcs ``reject`` rejects, or None.
 
     Edges come in ``_edge_order``; on {u, v}, u < v, u->v is tried before
     v->u, and alone on the first edge.  An arc x->y is dropped when y
     already reaches x (a cycle).  Else it is added to ``succ``, the strict
     descendant masks ``desc`` of up = anc[x]|x gain down = desc[y]|y (and
     the ancestor masks ``anc`` of down gain up), and ``reject(succ, adj,
-    desc, anc, up, down)`` returns why the arc fails, or None to keep it.
-    A node is the root or a kept arc; each ticks the budget once.  Each
+    desc, anc, up, down)`` (the package's is ``_kernels.shortcut_in``;
+    tests pass reference rules) returns why the arc fails, or None to keep
+    it.  A node is the root or a kept arc; each ticks the budget once.  Each
     stack entry carries the masks it extends, and a popped one copies them
     before adding its arc, so backtracking undoes nothing.
 
@@ -238,22 +239,6 @@ def _search(G: Graph, max_nodes: Optional[int], reject, start=None) -> Optional[
     return None
 
 
-def _non_neighbour_in(succ, adj, desc, anc, up, down):
-    """The transitive search's per-arc rule: (a, w) for the lowest a in
-    ``up`` whose ``down`` holds a non-neighbour w (the lowest), or None.
-    The new arc makes each a in up reach each w in down, and a transitive
-    orientation has an arc on every reachable pair."""
-    m = up
-    while m:
-        low = m & -m
-        m ^= low
-        a = low.bit_length() - 1
-        bad = down & ~adj[a]
-        if bad:
-            return (a, (bad & -bad).bit_length() - 1)
-    return None
-
-
 def _reachability(succ: Sequence[int]) -> tuple[list[int], list[int]]:
     """Strict descendant and ancestor masks of an acyclic orientation."""
     desc = _kernels.descendants(len(succ), succ)
@@ -274,18 +259,34 @@ def search_semi_transitive(G: Graph, max_nodes: Optional[int] = None) -> Optiona
     return None if succ is None else Orientation(G, tuple(succ))
 
 
-def search_transitive(G: Graph, max_nodes: Optional[int] = None) -> Optional[Orientation]:
-    """Backtracking search for a transitive orientation: ``_search`` with
-    ``_non_neighbour_in``, which prunes an arc that lets a vertex reach a
-    non-neighbour (once a->b->c is fixed, ac must be an edge oriented
-    a->c).  A transitive orientation reversed is one, so u->v alone on the
-    first edge loses nothing.  Exceeding ``max_nodes`` raises
-    BudgetExceeded.
+def search_transitive(G: Graph) -> Optional[Orientation]:
+    """A transitive orientation of G, or None if G is not a comparability
+    graph, by Golumbic's Γ-forcing (*Algorithmic Graph Theory and Perfect
+    Graphs*, 1980, ch. 5).  The first edge x-y left, in ``_edge_order``,
+    orients its implication class among the edges left: a->b forces a->c
+    for each c adjacent to a but not to b, and c->b for each c adjacent to
+    b but not to a.  G is a comparability graph exactly when no class holds
+    an arc and its reverse; then the classes make a transitive orientation.
     """
-    succ = _search(G, max_nodes, _non_neighbour_in)
-    if succ is None:
-        return None
+    left = list(G.adj)
+    succ = [0] * G.n
+    for x, y in _edge_order(G):
+        if not left[x] >> y & 1:
+            continue
+        cls = [0] * G.n
+        todo = [(x, y)]
+        while todo:
+            a, b = todo.pop()
+            if not cls[a] >> b & 1:
+                cls[a] |= 1 << b
+                todo += [(a, c) for c in iter_mask(left[a] & ~left[b] ^ 1 << b)]
+                todo += [(c, b) for c in iter_mask(left[b] & ~left[a] ^ 1 << a)]
+        back = _kernels.transpose(cls)
+        if any(c & r for c, r in zip(cls, back)):
+            return None
+        succ = [s | c for s, c in zip(succ, cls)]
+        left = [m & ~(c | r) for m, c, r in zip(left, cls, back)]
     D = Orientation(G, tuple(succ))
-    if not is_transitive(D):  # _non_neighbour_in should guarantee this
+    if not is_transitive(D):  # Γ-forcing should guarantee this
         raise AssertionError("search produced a non-transitive orientation")
     return D

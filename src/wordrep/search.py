@@ -10,16 +10,17 @@ from __future__ import annotations
 
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Optional, Sequence
 
 from .core import (
-    Graph, Word, _components, _induces_connected, _refined_classes, canonical_form, iter_mask,
+    Graph, Word, _components, _image_mask, _induces_connected, _labels, _refined_classes,
+    canonical_form, iter_mask,
 )
 from . import _kernels
+from .construct import _verified
 from .orient import Orientation, _Budget, _reachability, _search, search_semi_transitive
-from .verify import verify_k11
 
 
 @dataclass(frozen=True)
@@ -97,12 +98,7 @@ def _search_word(
                 elevens[b][a] -= 1
         return False
 
-    if rec(n):
-        w = Word(G.labels, tuple(word))
-        if not verify_k11(w, G, k):  # self-verification gate
-            raise AssertionError("word search produced an invalid word")
-        return w
-    return None
+    return _verified(Word(G.labels, tuple(word)), G, k) if rec(n) else None
 
 
 def find_uniform_representant(G: Graph, budget: SearchBudget = SearchBudget()) -> Optional[Word]:
@@ -171,27 +167,12 @@ def _canonical_masks(n: int, bits: int) -> list[int]:
     return adj
 
 
-@lru_cache(maxsize=16)
-def _labels(n: int) -> tuple[str, ...]:
-    """The labels "1".."n" of the graphs that the enumeration builds."""
-    return tuple(str(i + 1) for i in range(n))
-
-
 def graph_from_canonical_bits(n: int, bits: int) -> Graph:
     return Graph(_labels(n), tuple(_canonical_masks(n, bits)))
 
 
 _BUILTIN_LIMIT = 8
 _enum_cache: dict[int, list[int]] = {}
-
-
-def _image_mask(perm: Sequence[int], mask: int) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out |= 1 << perm[low.bit_length() - 1]
-    return out
 
 
 def _twin_classes(adj: Sequence[int]) -> list[int]:
@@ -474,19 +455,20 @@ def _pool(jobs: int):
     return ProcessPoolExecutor(max_workers=workers)
 
 
-def _census_result(n: int, verdicts: dict[int, bool]) -> CensusResult:
-    """The census of the canonical forms in ``verdicts`` (form: is it word-
-    representable?), sorted by canonical form, so that the result is
-    identical across worker counts."""
-    bad = tuple(graph_from_canonical_bits(n, bits) for bits in sorted(verdicts) if not verdicts[bits])
-    return CensusResult(n=n, examined=len(verdicts), non_word_representable=bad)
-
-
-def _census(n: int, forms: list[int], jobs: int) -> CensusResult:
-    """Decide each canonical form by a full search."""
+def _searched(n: int, forms: list[int], jobs: int) -> dict[int, bool]:
+    """{form: is it word-representable?} for each canonical form, by a full
+    search in a pool of ``jobs`` workers."""
     with _pool(jobs) as pool:
-        found = _full_orientations(n, forms, pool)
-    return _census_result(n, {bits: succ is not None for bits, succ in zip(forms, found)})
+        return {bits: succ is not None for bits, succ in zip(forms, _full_orientations(n, forms, pool))}
+
+
+def _census_result(n: int, verdicts: dict[int, bool], skipped: int = 0) -> CensusResult:
+    """The census of the canonical forms in ``verdicts`` (form: is it word-
+    representable?) and of ``skipped`` more word-representable graphs,
+    sorted by canonical form, so that the result is identical across worker
+    counts."""
+    bad = tuple(graph_from_canonical_bits(n, bits) for bits in sorted(verdicts) if not verdicts[bits])
+    return CensusResult(n=n, examined=len(verdicts) + skipped, non_word_representable=bad)
 
 
 def _extend(child: Graph, nbh: int, start) -> Optional[Orientation]:
@@ -561,9 +543,8 @@ def _grown_verdicts(n: int, jobs: int) -> tuple[dict[int, tuple[bool, Optional[i
     ``jobs``.
     """
     parents = _canonical_bits_upto(n - 1)
-    verdicts = {}
+    verdicts: dict[int, Optional[tuple[bool, Optional[int]]]] = {}  # None: open
     skipped = 0
-    forms = set()
     refuted: dict[tuple[int, ...], set[int]] = {}
     with _pool(jobs) as pool:
         for bits, found in zip(parents, _full_orientations(n - 1, parents, pool)):
@@ -578,18 +559,17 @@ def _grown_verdicts(n: int, jobs: int) -> tuple[dict[int, tuple[bool, Optional[i
                     if _extend(child, nbh, start) is not None:
                         skipped += 1
                     else:
-                        forms.add(canonical_form(child)[1])  # open: met nowhere else
+                        verdicts[canonical_form(child)[1]] = None  # met nowhere else
                     continue
                 form = canonical_form(child)[1]
-                forms.add(form)
-                if form in verdicts:
+                if verdicts.get(form) is not None:
                     continue
                 if found is None:
                     verdicts[form] = (False, bits)
-                elif _extend(child, nbh, start) is not None:
-                    verdicts[form] = (True, bits)
+                else:
+                    verdicts[form] = (True, bits) if _extend(child, nbh, start) is not None else None
         still_open = []
-        for form in sorted(forms.difference(verdicts)):
+        for form in sorted(form for form, verdict in verdicts.items() if verdict is None):
             deletion = _refuted_deletion(n, form, refuted)
             if deletion is None:
                 still_open.append(form)
@@ -611,10 +591,9 @@ def census_non_word_representable(n: int, jobs: int = 1) -> CensusResult:
     if not 1 <= n <= _BUILTIN_LIMIT:
         raise ValueError(f"census supports 1 <= n <= {_BUILTIN_LIMIT}")
     if n == 1:
-        return _census(1, [0], jobs)
+        return _census_result(1, _searched(1, [0], jobs))
     verdicts, skipped = _grown_verdicts(n, jobs)
-    result = _census_result(n, {form: ok for form, (ok, _parent) in verdicts.items()})
-    return replace(result, examined=result.examined + skipped)
+    return _census_result(n, {form: ok for form, (ok, _parent) in verdicts.items()}, skipped)
 
 
 def census_from_graph6(lines, jobs: int = 1) -> CensusResult:
@@ -637,7 +616,7 @@ def census_from_graph6(lines, jobs: int = 1) -> CensusResult:
     if len(n_seen) > 1:
         raise ValueError("graph6 stream mixes vertex counts")
     n = next(iter(n_seen)) if n_seen else 0
-    return _census(n, sorted(bits for _, bits in forms), jobs)
+    return _census_result(n, _searched(n, sorted(bits for _, bits in forms), jobs))
 
 
 # -- chromatic number --------------------------------------------------

@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Optional
 
 from . import _kernels
-from .core import Graph, Word, _check_every_letter_occurs, canonical_form, count_pattern_11, iter_mask
+from .core import Graph, Word, _check_every_letter_occurs, _image_mask, canonical_form, count_pattern_11
 
 
 @dataclass(frozen=True)
@@ -79,10 +79,8 @@ def verify_k11(w: Word, G: Graph, k: int) -> Verdict:
     n = len(order)
     if order != list(range(n)):
         # the represented graph in G's vertex order
-        bit = [0] * n
-        for i, a in enumerate(order):
-            bit[a] = 1 << i
-        adj = [sum(bit[b] for b in iter_mask(adj[a])) for a in order]
+        at = [G.index[lab] for lab in w.alphabet]
+        adj = [_image_mask(at, adj[a]) for a in order]
     for i, (got, want) in enumerate(zip(adj, G.adj)):
         diff = (got ^ want) >> i + 1
         if diff:

@@ -13,7 +13,7 @@ from typing import Optional
 from wordrep import _kernels_py
 from wordrep.construct import ConstructionError
 from wordrep.core import Graph, Permutation, Word, _check_every_letter_occurs, canonical_form, iter_mask
-from wordrep.orient import Orientation, _Budget, _edge_order, is_transitive
+from wordrep.orient import Orientation, _Budget, _edge_order, _search, is_transitive
 from wordrep.verify import Verdict, verify_k11
 
 
@@ -248,8 +248,34 @@ def slow_search_semi_transitive(
     return (tuple(succ) if rec(0) else None), nodes
 
 
-# The transitive search that ``orient._search`` with the rule
-# ``_non_neighbour_in`` replaced, verbatim apart from its name.
+def _non_neighbour_in(succ, adj, desc, anc, up, down):
+    """The transitive search's per-arc rule: (a, w) for the lowest a in
+    ``up`` whose ``down`` holds a non-neighbour w (the lowest), or None.
+    The new arc makes each a in up reach each w in down, and a transitive
+    orientation has an arc on every reachable pair."""
+    m = up
+    while m:
+        low = m & -m
+        m ^= low
+        a = low.bit_length() - 1
+        bad = down & ~adj[a]
+        if bad:
+            return (a, (bad & -bad).bit_length() - 1)
+    return None
+
+
+def backtracking_transitive(G: Graph, max_nodes: Optional[int] = None) -> Optional[Orientation]:
+    """The backtracking transitive search that ``orient.search_transitive``
+    ran before Γ-forcing: ``orient._search`` with ``_non_neighbour_in``,
+    which prunes an arc that lets a vertex reach a non-neighbour.  A
+    transitive orientation reversed is one, so u->v alone on the first edge
+    loses nothing.  Exceeding ``max_nodes`` raises BudgetExceeded."""
+    succ = _search(G, max_nodes, _non_neighbour_in)
+    return None if succ is None else Orientation(G, tuple(succ))
+
+
+# The transitive search that ``backtracking_transitive`` replaced, verbatim
+# apart from its name.
 
 
 def slow_search_transitive(G: Graph, max_nodes: Optional[int] = None) -> Optional[Orientation]:

@@ -119,6 +119,11 @@ class TestOrient:
         monkeypatch.setenv("WORDREP_MAX_NODES", "lots")
         assert main(["orient", "search", "w5"]) == 2
 
+    def test_transitive_search_takes_no_budget(self, monkeypatch, capsys):
+        monkeypatch.setenv("WORDREP_MAX_NODES", "lots")
+        assert main(["orient", "search-transitive", "bw3"]) == 0
+        assert is_transitive(parse_orientation(capsys.readouterr().out))
+
     def test_check_transitive(self, capsys, tmp_path):
         p = tmp_path / "d.txt"
         p.write_text("vertices: a b c\narc: a b\narc: c b\n")

@@ -104,6 +104,10 @@ class TestRemoveEdgeSets:
         with pytest.raises(ValueError, match="not uniform"):
             remove_edge_sets(self.C4, w, [])
 
+    def test_rejects_word_on_other_letters(self):
+        with pytest.raises(ValueError, match="alphabet does not match"):
+            remove_edge_sets(self.C4, Word.compact("12351235"), [])
+
     def test_rejects_wrong_word(self):
         w = Word.compact("12341234")  # 2-uniform but represents K4 minus nothing sensible
         with pytest.raises(ValueError, match="does not 0-11-represent"):

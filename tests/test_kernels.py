@@ -15,7 +15,9 @@ from types import SimpleNamespace
 import pytest
 
 import wordrep
-from oracles import reference_word_pair_counts, relabelled, slow_canonical_min_bits, slow_refined_classes
+from oracles import (
+    _non_neighbour_in, reference_word_pair_counts, relabelled, slow_canonical_min_bits, slow_refined_classes,
+)
 from wordrep import _kernels, _kernels_py, orient, search
 from wordrep.core import Graph, _refined_classes, complete_graph, cycle_graph, empty_graph
 
@@ -516,7 +518,7 @@ def test_add_arc_matches_full_recompute():
 
 def test_add_transitive_arc_matches_full_recompute():
     counts = [0, 0]
-    _rule_calls(53, 200, orient._non_neighbour_in, _check_arc_step(_reference_add_transitive_arc, counts))
+    _rule_calls(53, 200, _non_neighbour_in, _check_arc_step(_reference_add_transitive_arc, counts))
     accepted, rejected = counts
     assert rejected > 100 and accepted > 1000
 
@@ -550,5 +552,5 @@ def test_non_neighbour_in_witnesses_are_reachable_non_neighbours():
         assert _full_reachability(n, succ)[0][a] >> w & 1
         seen.append(verdict)
 
-    _rule_calls(61, 200, orient._non_neighbour_in, check)
+    _rule_calls(61, 200, _non_neighbour_in, check)
     assert len(seen) > 100

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     all_orientations,
+    backtracking_transitive,
     exhaustive_semi_transitive,
     exhaustive_transitive,
     reference_adjacency_check,
@@ -278,7 +279,7 @@ class TestSearch:
 
     def test_search_transitive_budget(self):
         with pytest.raises(BudgetExceeded):
-            search_transitive(cycle_graph(tuple("123456")), max_nodes=1)
+            backtracking_transitive(cycle_graph(tuple("123456")), max_nodes=1)
 
     def test_semi_transitive_search_matches_oracle_exhaustively(self):
         # existence agrees with brute force over every orientation
@@ -371,9 +372,9 @@ class TestNodeCounts:
 
 
 class TestNodeCountsTransitive:
-    """The transitive search's node counts, exact in the same way: a node is
-    the root or an accepted arc, and a "no" explores only the u->v subtree
-    of the first edge."""
+    """The backtracking transitive search's node counts, exact in the same
+    way: a node is the root or an accepted arc, and a "no" explores only the
+    u->v subtree of the first edge."""
 
     @pytest.mark.parametrize("G, nodes, found", [
         pytest.param(cycle_graph(tuple("12345")), 5, False, id="C5"),
@@ -385,9 +386,9 @@ class TestNodeCountsTransitive:
         pytest.param(catalog.get("bw3").graph, 10, True, id="bw3"),
     ])
     def test_counts(self, G, nodes, found):
-        assert (search_transitive(G, max_nodes=nodes) is not None) == found
+        assert (backtracking_transitive(G, max_nodes=nodes) is not None) == found
         with pytest.raises(BudgetExceeded):
-            search_transitive(G, max_nodes=nodes - 1)
+            backtracking_transitive(G, max_nodes=nodes - 1)
 
 
 def _planted_and_random_9_to_13():
@@ -411,13 +412,29 @@ def _planted_and_random_9_to_13():
         yield t % 2 == 0, Graph.from_index_edges(tuple(str(i) for i in range(n)), pairs)
 
 
+def _stars_and_c5(k: int) -> Graph:
+    """k disjoint 3-leaf stars and a C5, on which the backtracking search
+    takes four times the nodes for every two more stars."""
+    pairs = [(4 * s, 4 * s + leaf) for s in range(k) for leaf in (1, 2, 3)]
+    pairs += [(4 * k + i, 4 * k + (i + 1) % 5) for i in range(5)]
+    return Graph.from_index_edges(tuple(str(i) for i in range(4 * k + 5)), pairs)
+
+
 class TestTransitiveSearch:
-    """The transitive search against the forcing-closure search it replaced
-    and against brute force."""
+    """Γ-forcing against the backtracking search it replaced (the same
+    verdicts, and orientations that are transitive by definition), the
+    backtracking search against the forcing-closure search it replaced (the
+    same orientations), and both against brute force."""
+
+    @staticmethod
+    def _assert_same_verdict(G):
+        D = search_transitive(G)
+        assert (D is None) == (backtracking_transitive(G) is None)
+        assert D is None or exhaustive_transitive(D)
 
     @staticmethod
     def _assert_same_as_closure_search(G):
-        D = search_transitive(G)
+        D = backtracking_transitive(G)
         want = slow_search_transitive(G)
         assert (None if D is None else D.succ) == (None if want is None else want.succ)
 
@@ -425,11 +442,17 @@ class TestTransitiveSearch:
         rng = random.Random(17)
         for n in range(1, 8):
             for G in enumerate_nonisomorphic(n):
-                self._assert_same_as_closure_search(G)
-                self._assert_same_as_closure_search(relabelled(rng, G))
+                for H in (G, relabelled(rng, G)):
+                    self._assert_same_verdict(H)
+                    self._assert_same_as_closure_search(H)
+
+    def test_every_graph_on_8_vertices(self):
+        for G in enumerate_nonisomorphic(8):
+            self._assert_same_verdict(G)
 
     def test_planted_posets_and_random_graphs_9_to_13(self):
         for planted, G in _planted_and_random_9_to_13():
+            self._assert_same_verdict(G)
             self._assert_same_as_closure_search(G)
             assert search_transitive(G) is not None or not planted
 
@@ -440,6 +463,11 @@ class TestTransitiveSearch:
                 D = search_transitive(G)
                 assert (D is not None) == expected
                 assert D is None or exhaustive_transitive(D)
+
+    @pytest.mark.parametrize("k", [16, 40])
+    def test_stars_and_c5_refuted(self, k):
+        assert search_transitive(_stars_and_c5(k)) is None
+        assert is_transitive(search_transitive(_stars_and_c5(k).delete_vertex(str(4 * k))))
 
 
 @pytest.mark.parametrize("n", [50, 64])

@@ -21,7 +21,8 @@ from oracles import (
     slow_search_k11_word,
     slow_search_uniform_word,
 )
-from wordrep import _kernels, orient, search
+from wordrep import _kernels, construct, orient, search
+from wordrep.construct import ConstructionError
 from wordrep.core import Graph, complete_graph, cycle_graph, empty_graph, iter_mask, path_graph
 from wordrep.graph6 import HEADER, parse_graph6, write_graph6
 from wordrep.orient import BudgetExceeded, _Budget, search_semi_transitive
@@ -39,7 +40,7 @@ from wordrep.search import (
     graph_from_canonical_bits,
     is_word_representable,
 )
-from wordrep.verify import graph_of_word, uniformity, verify_k11
+from wordrep.verify import Verdict, graph_of_word, uniformity, verify_k11
 
 
 PETERSEN_G6 = "IheA@GUAo"
@@ -160,6 +161,11 @@ class TestFindUniform:
 
     def test_not_representable_returns_none(self):
         assert find_uniform_representant(_w5()) is None
+
+    def test_found_word_passes_the_construction_gate(self, monkeypatch):
+        monkeypatch.setattr(construct, "verify_k11", lambda w, G, k: Verdict(False, ("x", "y", 0, "edge")))
+        with pytest.raises(ConstructionError, match="failed verification at k=0"):
+            find_uniform_representant(complete_graph(("x", "y")))
 
     def test_found_words_always_verify(self):
         rng = random.Random(13)

@@ -1,8 +1,8 @@
 """Source checks that no installed linter makes: every name a module of
 ``src/wordrep`` imports is used in it (``__init__.py`` re-exports its
-imports, so it is left out), and every top-level ``_private`` name that a
+imports, so it is left out), every top-level ``_private`` name that a
 module defines is read somewhere in the package outside its own
-definition."""
+definition, and no two modules define the same one."""
 
 import ast
 from pathlib import Path
@@ -39,6 +39,20 @@ def test_no_unused_imports(path):
 
 
 
+def _defined_names(stmt: ast.stmt) -> set[str]:
+    """The names that a top-level function, class or assignment defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return {node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)}
+    return set()
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def _orphaned_private_names(sources: dict[str, str]) -> list[str]:
     """``module.name`` for each top-level ``_private`` (not dunder) name that
     a function, class or assignment of the modules ``sources`` ({module name:
@@ -49,14 +63,8 @@ def _orphaned_private_names(sources: dict[str, str]) -> list[str]:
     used = set()
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                own = {stmt.name}
-            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-                own = {node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)}
-            else:
-                own = set()
-            defined += [(module, name) for name in own if name.startswith("_") and not name.startswith("__")]
+            own = _defined_names(stmt)
+            defined += [(module, name) for name in own if _is_private(name)]
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     name = node.id
@@ -81,3 +89,28 @@ def test_orphaned_private_names_are_found():
 
 def test_no_orphaned_private_names():
     assert _orphaned_private_names({p.stem: p.read_text() for p in sorted(_SRC.glob("*.py"))}) == []
+
+
+def _private_names_defined_twice(sources: dict[str, str]) -> list[str]:
+    """Each top-level ``_private`` (not dunder) function, class or assigned
+    name that more than one of the modules ``sources`` ({module name:
+    source}) defines, as ``name: module, module, ...``."""
+    owners: dict[str, list[str]] = {}
+    for module, source in sources.items():
+        names = set().union(*map(_defined_names, ast.parse(source).body))
+        for name in filter(_is_private, names):
+            owners.setdefault(name, []).append(module)
+    return sorted(f"{name}: {', '.join(mods)}" for name, mods in owners.items() if len(mods) > 1)
+
+
+def test_private_names_defined_twice_are_found():
+    sources = {
+        "a": "def _f():\n    pass\n_X = 1\n__all__ = []\n",
+        "b": "class _f:\n    pass\n_Y: int = 2\n__all__ = []\n",
+        "c": "from .a import _X\n_Y, _Z = 3, 4\n",
+    }
+    assert _private_names_defined_twice(sources) == ["_Y: b, c", "_f: a, b"]
+
+
+def test_no_private_name_defined_twice():
+    assert _private_names_defined_twice({p.stem: p.read_text() for p in sorted(_SRC.glob("*.py"))}) == []
