@@ -53,6 +53,9 @@ CHVATAL_AUGMENTED_UNIFORM_WORD = (
     "12 4 3 9 6 10 5 7 11 2 6 8 1 7"
 )
 
+# Wheel W5: the cycle 1..5 and the hub 6.
+_W5_EDGES = [(str(i), str(i % 5 + 1)) for i in range(1, 6)] + [(str(i), "6") for i in range(1, 6)]
+
 _BW3_EDGES = [
     ("1", "2"), ("2", "3"), ("3", "4"), ("4", "5"), ("5", "6"), ("6", "7"),
     ("1", "6"), ("2", "7"), ("4", "7"),
@@ -100,101 +103,42 @@ class CatalogEntry:
     special_subsets: dict[str, frozenset[str]] = field(default_factory=dict)
 
 
-def _chvatal() -> Graph:
-    return Graph.from_edges(_labels(12), _CHVATAL_EDGES)
-
-
-def _chvatal_augmented() -> Graph:
-    return Graph.from_edges(_labels(12), _CHVATAL_EDGES + [("1", "3"), ("2", "4")])
-
-
-def _entry_chvatal() -> CatalogEntry:
-    return CatalogEntry(
-        name="chvatal",
-        graph=_chvatal(),
-        special_subsets={
-            "V1": frozenset({"2", "3", "5", "6", "8", "9", "12"}),
-            "V2": frozenset({"3", "4", "6", "7", "8", "10", "11"}),
-            "V3": frozenset({"1", "4", "5", "8", "9", "10", "12"}),
-            "V4": frozenset({"1", "2", "6", "7", "10", "11", "12"}),
-            "C5a": frozenset({"1", "2", "3", "7", "8"}),
-            "C5b": frozenset({"5", "6", "10", "11", "12"}),
-        },
-    )
-
-
-def _entry_chvatal_augmented() -> CatalogEntry:
-    G = _chvatal_augmented()
-    w = Word.from_labels(G.labels, CHVATAL_AUGMENTED_UNIFORM_WORD.split())
-    return CatalogEntry(
-        name="chvatal-augmented",
-        graph=G,
-        golden_words=((w, 0),),
-        golden_orientations=(Orientation.from_arcs(G, _CHVATAL_AUG_ARCS),),
-    )
-
-
-def _entry_w5() -> CatalogEntry:
-    labels = _labels(6)
-    edges = [(str(i), str(i % 5 + 1)) for i in range(1, 6)]
-    edges += [("6", str(i)) for i in range(1, 6)]
-    return CatalogEntry(name="w5", graph=Graph.from_edges(labels, edges))
-
-
-def _entry_bw3() -> CatalogEntry:
-    return CatalogEntry(name="bw3", graph=Graph.from_edges(_labels(7), _BW3_EDGES))
-
-
-def _entry_split_min() -> CatalogEntry:
-    G = Graph.from_edges(_labels(8), _SPLIT_MIN_EDGES)
-    return CatalogEntry(
-        name="split-min",
-        graph=G,
-        special_subsets={
-            "clique": frozenset({"1", "2", "3", "4"}),
-            "independent": frozenset({"5", "6", "7", "8"}),
-        },
-    )
-
-
-def _entry_graph12() -> CatalogEntry:
-    G = Graph.from_edges(_labels(7), _GRAPH12_EDGES)
-    return CatalogEntry(
-        name="graph12",
-        graph=G,
-        golden_words=((Word.compact(W12, G.labels), 1),),
-        special_subsets={"independent": frozenset({"1", "5", "7"})},
-    )
-
-
-def _entry_graph17() -> CatalogEntry:
-    G = Graph.from_edges(_labels(7), _GRAPH17_EDGES)
-    return CatalogEntry(
-        name="graph17",
-        graph=G,
-        golden_words=((Word.compact(W17, G.labels), 1),),
-        special_subsets={"independent": frozenset({"1", "7"})},
-    )
-
-
-_BUILDERS = {
-    "chvatal": _entry_chvatal,
-    "chvatal-augmented": _entry_chvatal_augmented,
-    "w5": _entry_w5,
-    "bw3": _entry_bw3,
-    "split-min": _entry_split_min,
-    "graph12": _entry_graph12,
-    "graph17": _entry_graph17,
+# One row per named entry: vertex count (labels "1".."n"), edges, golden
+# words as (label sequence, k), arcs of a stored orientation (or None) and
+# special subsets as space-separated labels.  verify_catalog picks a
+# subset's check by its name: V* an induced BW3, C5* an induced C5,
+# "independent" or "clique".
+_TABLE = {
+    "chvatal": (12, _CHVATAL_EDGES, (), None, {
+        "V1": "2 3 5 6 8 9 12", "V2": "3 4 6 7 8 10 11",
+        "V3": "1 4 5 8 9 10 12", "V4": "1 2 6 7 10 11 12",
+        "C5a": "1 2 3 7 8", "C5b": "5 6 10 11 12",
+    }),
+    "chvatal-augmented": (12, _CHVATAL_EDGES + [("1", "3"), ("2", "4")],
+                          ((CHVATAL_AUGMENTED_UNIFORM_WORD.split(), 0),), _CHVATAL_AUG_ARCS, {}),
+    "w5": (6, _W5_EDGES, (), None, {}),
+    "bw3": (7, _BW3_EDGES, (), None, {}),
+    "split-min": (8, _SPLIT_MIN_EDGES, (), None, {"clique": "1 2 3 4", "independent": "5 6 7 8"}),
+    "graph12": (7, _GRAPH12_EDGES, ((W12, 1),), None, {"independent": "1 5 7"}),
+    "graph17": (7, _GRAPH17_EDGES, ((W17, 1),), None, {"independent": "1 7"}),
 }
 
 
 def names() -> list[str]:
-    return sorted(_BUILDERS) + ["mycielski-c:<n>"]
+    return sorted(_TABLE) + ["mycielski-c:<n>"]
 
 
 def get(name: str) -> CatalogEntry:
-    if name in _BUILDERS:
-        return _BUILDERS[name]()
+    if name in _TABLE:
+        n, edges, words, arcs, subsets = _TABLE[name]
+        G = Graph.from_edges(_labels(n), edges)
+        return CatalogEntry(
+            name=name,
+            graph=G,
+            golden_words=tuple((Word.from_labels(G.labels, seq), k) for seq, k in words),
+            golden_orientations=() if arcs is None else (Orientation.from_arcs(G, arcs),),
+            special_subsets={sub: frozenset(labels.split()) for sub, labels in subsets.items()},
+        )
     if name.startswith("mycielski-c:"):
         try:
             n = int(name.split(":", 1)[1])
@@ -226,31 +170,28 @@ def verify_catalog() -> CatalogReport:
     checks: list[tuple[str, str, bool, str]] = []
     bw3 = get("bw3").graph
     c5 = cycle_graph(_labels(5))
-    for name in sorted(_BUILDERS):
+    for name in sorted(_TABLE):
         entry = get(name)
+        G = entry.graph
         for w, k in entry.golden_words:
-            verdict = verify_k11(w, entry.graph, k)
+            verdict = verify_k11(w, G, k)
             detail = "" if verdict else f"witness {verdict.witness}"
             if k == 0 and verdict and uniformity(w) is None:
-                verdict_ok = False
                 detail = "stored 0-11 word is not uniform"
-            else:
-                verdict_ok = verdict.holds
-            checks.append((name, f"word k={k}", verdict_ok, detail))
+            checks.append((name, f"word k={k}", not detail, detail))
         for D in entry.golden_orientations:
             ok = is_semi_transitive(D)
             checks.append((name, "orientation", ok, "" if ok else "not semi-transitive"))
         for sub_name, subset in entry.special_subsets.items():
             if sub_name.startswith("V"):
-                ok = induces_copy(entry.graph, subset, bw3)
-                checks.append((name, f"subset {sub_name} ~ BW3", ok, ""))
+                artifact, ok, why = f"subset {sub_name} ~ BW3", induces_copy(G, subset, bw3), "no induced BW3"
             elif sub_name.startswith("C5"):
-                ok = induces_copy(entry.graph, subset, c5)
-                checks.append((name, f"subset {sub_name} ~ C5", ok, ""))
+                artifact, ok, why = f"subset {sub_name} ~ C5", induces_copy(G, subset, c5), "no induced C5"
             elif sub_name == "independent":
-                ok = entry.graph.is_independent_set(subset)
-                checks.append((name, "independent subset", ok, ""))
+                artifact, ok, why = "independent subset", G.is_independent_set(subset), "not independent"
             elif sub_name == "clique":
-                ok = entry.graph.is_clique(subset)
-                checks.append((name, "clique subset", ok, ""))
+                artifact, ok, why = "clique subset", G.is_clique(subset), "not a clique"
+            else:
+                artifact, ok, why = f"subset {sub_name}", False, "no check covers this subset"
+            checks.append((name, artifact, ok, "" if ok else why))
     return CatalogReport(tuple(checks))

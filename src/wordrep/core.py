@@ -307,17 +307,8 @@ def reverse(w: Word) -> Word:
 
 def count_pattern_11(w: Word, x: str, y: str) -> int:
     """Number of adjacent equal letters in the pair subword of x and y."""
-    if x == y:
-        raise ValueError("need two distinct letters")
-    xi, yi = w._aidx(x), w._aidx(y)
-    count = 0
-    last = -1
-    for a in w.letters:
-        if a == xi or a == yi:
-            if a == last:
-                count += 1
-            last = a
-    return count
+    pair = induced_subword(w, x, y).letters
+    return sum(a == b for a, b in zip(pair, pair[1:]))
 
 
 # -- small generators used throughout ---------------------------------

@@ -1,7 +1,12 @@
+import hashlib
+import importlib.util
+import random
+from pathlib import Path
+
 import pytest
 
 from wordrep import catalog
-from wordrep.catalog import CHVATAL_AUGMENTED_UNIFORM_WORD, W12, W17
+from wordrep.catalog import CHVATAL_AUGMENTED_UNIFORM_WORD, W12, W17, _CHVATAL_AUG_ARCS
 from wordrep.core import Word, cycle_graph
 from wordrep.orient import Orientation, is_semi_transitive
 from wordrep.search import canonical_form
@@ -107,6 +112,22 @@ class TestGoldenArtifacts:
         entry = catalog.get("mycielski-c:5")
         assert not (entry.golden_words or entry.golden_orientations or entry.special_subsets)
 
+    def test_named_entries_digest(self):
+        # every named entry's content, pinned so that a slip in transcribing
+        # the catalog's table fails even where no check would notice it
+        content = []
+        for name in catalog.names()[:-1]:
+            e = catalog.get(name)
+            content.append((
+                e.name, e.graph.labels, e.graph.adj,
+                [(w.alphabet, w.letters, k) for w, k in e.golden_words],
+                [D.succ for D in e.golden_orientations],
+                sorted((sub, tuple(sorted(labels))) for sub, labels in e.special_subsets.items()),
+            ))
+        assert catalog.names()[-1] == "mycielski-c:<n>"
+        digest = hashlib.sha256(repr(content).encode()).hexdigest()
+        assert digest == "66e5dbadb45a2381dfea39810466faad54c78645ed42fe9460a3eea8e929090e"
+
     def test_truncated_word_fails_verification(self):
         entry = catalog.get("graph12")
         (word, _), = entry.golden_words
@@ -119,6 +140,68 @@ class TestGoldenArtifacts:
         arcs = [("11", "10") if a == ("10", "11") else a for a in D.arcs()]
         flipped = Orientation.from_arcs(D.base, arcs)
         assert not is_semi_transitive(flipped)
+
+
+def _patch_row(monkeypatch, name, **fields):
+    """Replace some fields of a row of the catalog's table for one test."""
+    keys = ("n", "edges", "words", "arcs", "subsets")
+    row = dict(zip(keys, catalog._TABLE[name]), **fields)
+    monkeypatch.setitem(catalog._TABLE, name, tuple(row[key] for key in keys))
+
+
+class TestVerifyCatalogFailures:
+    # each broken artifact gives one FAIL row with its detail, and every
+    # other check still passes
+    @pytest.mark.parametrize("name, fields, artifact, detail", [
+        ("graph12", {"words": ((W12[:-1], 1),)}, "word k=1", "witness "),
+        ("chvatal-augmented", {"words": ((CHVATAL_AUGMENTED_UNIFORM_WORD.split()[:-1], 0),)},
+         "word k=0", "stored 0-11 word is not uniform"),
+        ("chvatal-augmented",
+         {"arcs": [("11", "10") if a == ("10", "11") else a for a in _CHVATAL_AUG_ARCS]},
+         "orientation", "not semi-transitive"),
+        ("graph17", {"subsets": {"independent": "1 2"}}, "independent subset", "not independent"),
+        ("split-min", {"subsets": {"clique": "1 2 3 5"}}, "clique subset", "not a clique"),
+        ("chvatal", {"subsets": {"V1": "1 2 3 4 5 6 7"}}, "subset V1 ~ BW3", "no induced BW3"),
+        ("chvatal", {"subsets": {"C5a": "1 2 3 4 5"}}, "subset C5a ~ C5", "no induced C5"),
+        ("w5", {"subsets": {"hub": "6"}}, "subset hub", "no check covers this subset"),
+    ])
+    def test_failure_row(self, monkeypatch, name, fields, artifact, detail):
+        _patch_row(monkeypatch, name, **fields)
+        report = catalog.verify_catalog()
+        assert not report.all_ok
+        (failure,) = report.failures()
+        assert failure[:2] == (name, artifact)
+        assert failure[2].startswith(detail)
+
+
+class TestDerivationScript:
+    def test_energy_is_zero_exactly_on_representants(self):
+        # scripts/derive_chvatal_witness.py, where the stored word came from,
+        # run without annealing: its energy must read 0 on the stored word and
+        # exactly on the words that verify_k11 accepts
+        path = Path(__file__).resolve().parents[1] / "scripts" / "derive_chvatal_witness.py"
+        spec = importlib.util.spec_from_file_location("derive_chvatal_witness", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        entry = catalog.get("chvatal-augmented")
+        G = entry.graph
+        (stored, _k), = entry.golden_words
+        rng = random.Random(7)
+        letters = list(stored.letters)
+        # a uniform word's rotations and reversal represent the same graph
+        words = [letters, letters[::-1]] + [letters[r:] + letters[:r] for r in (1, 5, 11, 30)]
+        for _ in range(40):
+            shuffled = [v for v in range(G.n) for _ in range(4)]
+            rng.shuffle(shuffled)
+            words.append(shuffled)
+            # a swap in the stored word: near a representant
+            near = list(letters)
+            a, b = rng.sample(range(len(near)), 2)
+            near[a], near[b] = near[b], near[a]
+            words.append(near)
+        zero = [script.energy(seq, G.n, G.adj) == 0 for seq in words]
+        assert zero == [bool(verify_k11(Word(G.labels, tuple(seq)), G, 0)) for seq in words]
+        assert all(zero[:6]) and not all(zero)
 
 
 class TestCatalogGraphFacts:

@@ -482,6 +482,16 @@ class TestCatalog:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
+    def test_verify_exits_1_on_a_failed_check(self, capsys, monkeypatch):
+        from wordrep import catalog
+
+        n, edges, words, arcs, _subsets = catalog._TABLE["graph17"]
+        monkeypatch.setitem(catalog._TABLE, "graph17", (n, edges, words, arcs, {"independent": "1 2"}))
+        assert main(["catalog", "verify"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  graph17: independent subset  (not independent)" in out.splitlines()
+        assert "PASS  graph17: word k=1" in out.splitlines()
+
     def test_export_graphfile_roundtrip(self, capsys):
         assert main(["catalog", "export", "bw3"]) == 0
         G = parse_graph(capsys.readouterr().out)

@@ -221,6 +221,12 @@ class TestWordOps:
         assert count_pattern_11(W, "2", "5") == 2  # 25522 has 55 and 22
         with pytest.raises(ValueError, match="distinct"):
             count_pattern_11(W, "1", "1")
+        # the letters are checked for distinctness before they are looked up
+        with pytest.raises(ValueError, match="distinct"):
+            count_pattern_11(W, "9", "9")
+        for x, y in (("9", "1"), ("1", "9")):
+            with pytest.raises(ValueError, match="unknown vertex label: '9'"):
+                count_pattern_11(W, x, y)
 
     def test_count_pattern_11_simple(self):
         w = Word.compact("1122")
