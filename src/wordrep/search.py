@@ -172,8 +172,7 @@ def graph_from_canonical_bits(n: int, bits: int) -> Graph:
 
 
 _BUILTIN_LIMIT = 8
-# (n, connected_only) -> the sorted canonical bits of that family
-_enum_cache: dict[tuple[int, bool], list[int]] = {}
+_enum_cache: dict[int, list[int]] = {}
 
 
 def _twin_classes(adj: Sequence[int]) -> list[int]:
@@ -340,11 +339,11 @@ def _canonical_bits_upto(n: int) -> list[int]:
     per parent, so only a child that passes gets a mask list, a ``Graph``
     and a canonical form.
     """
-    if (n, True) not in _enum_cache:
-        _enum_cache[n, True] = [0] if n == 1 else sorted({
+    if n not in _enum_cache:
+        _enum_cache[n] = [0] if n == 1 else sorted({
             canonical_form(child)[1] for bits in _canonical_bits_upto(n - 1)
             for _nbh, child, _sole in _children(n, bits)})
-    return _enum_cache[n, True]
+    return _enum_cache[n]
 
 
 def _children(n: int, bits: int) -> Iterator[tuple[int, Graph, bool]]:
@@ -404,12 +403,12 @@ def enumerate_nonisomorphic(n: int, connected_only: bool = False) -> Iterator[Gr
     if n < 1 or n > _BUILTIN_LIMIT:
         raise ValueError(f"built-in generator supports 1 <= n <= {_BUILTIN_LIMIT}")
     forms = _canonical_bits_upto(n)
-    if not connected_only and (n, False) not in _enum_cache:
+    if not connected_only:
         every = (1 << n) - 1
         complements = (tuple(every ^ 1 << v ^ a for v, a in enumerate(_canonical_masks(n, bits))) for bits in forms)
-        _enum_cache[n, False] = sorted(forms + [canonical_form(Graph(_labels(n), masks))[1]
-                                                for masks in complements if not _induces_connected(masks, every)])
-    for bits in _enum_cache[n, connected_only]:
+        forms = sorted(forms + [canonical_form(Graph(_labels(n), masks))[1]
+                                for masks in complements if not _induces_connected(masks, every)])
+    for bits in forms:
         yield graph_from_canonical_bits(n, bits)
 
 

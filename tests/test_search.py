@@ -270,16 +270,6 @@ class TestEnumeration:
         assert (len(every), _sha16(every)) == (12346, "396a4aece822e518")
         assert (len(connected), _sha16(connected)) == (11117, "2742da3077c58766")
 
-    def test_second_call_computes_no_form(self, monkeypatch):
-        # both families on 8 vertices are cached: listing them again
-        # computes no canonical form
-        monkeypatch.setattr(search, "_enum_cache", {})
-        first = {c: [G.adj for G in enumerate_nonisomorphic(8, c)] for c in (False, True)}
-        calls = []
-        monkeypatch.setattr(search, "canonical_form", lambda G: calls.append(G) or canonical_form(G))
-        assert {c: [G.adj for G in enumerate_nonisomorphic(8, c)] for c in (False, True)} == first
-        assert calls == []
-
     def test_counts_connected(self):
         expected = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
         for n, count in expected.items():
