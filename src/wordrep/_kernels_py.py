@@ -19,24 +19,48 @@ def pair_index(i: int, j: int, n: int) -> int:
     return i * n - i * (i + 1) // 2 + (j - i - 1)
 
 
+# Words at least this long over at most 256 letters get their position
+# masks from one bytes.translate pass per letter.  Shorter ones take one
+# Python step per position, which is faster there: over 16 letters the two
+# break even between 160 and 192 positions, and over 32 letters near 1,000.
+_LONG_WORD = 256
+
+
 def word_pair_counts(letters, n):
     """11-pattern counts for every unordered letter pair of a word.
 
     Returns a flat list of length n*(n-1)//2 indexed by ``pair_index``.
-    Bit p of ``pos[a]`` is set when the letter at position p is a.  For a
-    pair a < b the gaps (positions of other letters) are the ones of
+    ``pos[a]`` has a bit for each position of the letter a.  For a pair
+    a < b the gaps (positions of other letters) are the ones of
     ``full ^ A ^ B``, so in ``gaps + (A << 1)`` the carry from each a runs
     over the gaps and stops at the next a or b: ``& A`` keeps the a's whose
     previous letter in the pair subword is a, which are the pair's aa's.
     Its bb's come the same way, so each pair costs a few big-int
     operations, not a pass over the word.
+
+    A short word sets bit p for position p, one Python step per position;
+    as the masks grow, that costs time quadratic in the word's length.  A
+    long word is read as a string of "0"s and "1"s per letter, whose first
+    character is the highest bit: bit p is position len - 1 - p, so the
+    carries read the word backwards.  No count changes, since reversing a
+    word reverses each pair subword and keeps its adjacent equal letters.
     """
-    pos = [0] * n
-    bit = 1
-    for a in letters:
-        pos[a] |= bit
-        bit <<= 1
-    full = bit - 1
+    if len(letters) >= _LONG_WORD and n <= 256:
+        word = bytes(letters)
+        table = bytearray(b"0" * 256)
+        pos = []
+        for a in range(n):
+            table[a] = b"1"[0]
+            pos.append(int(word.translate(table), 2))
+            table[a] = b"0"[0]
+        full = (1 << len(word)) - 1
+    else:
+        pos = [0] * n
+        bit = 1
+        for a in letters:
+            pos[a] |= bit
+            bit <<= 1
+        full = bit - 1
     counts = []
     for a, A in enumerate(pos):
         not_a = full ^ A

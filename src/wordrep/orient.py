@@ -80,13 +80,15 @@ def is_acyclic(D: Orientation) -> bool:
 
 def find_shortcut(D: Orientation) -> Optional[ShortcutWitness]:
     """A shortcut witness, or None if the (acyclic) orientation has none."""
-    if not is_acyclic(D):
-        raise ValueError("orientation is cyclic")
-    hit = _kernels.forced_shortcut_pair(D.base.n, D.succ, D.base.adj)
+    try:
+        desc, anc = _reachability(D.succ)
+    except ValueError:
+        raise ValueError("orientation is cyclic") from None
+    every = (1 << D.base.n) - 1
+    hit = _kernels.shortcut_in(D.succ, D.base.adj, desc, anc, every, every)
     if hit is None:
         return None
     a, b, u, w = hit
-    anc = _reachability(D.succ)[1]
     path = [a]
     for t in (u, w, b):  # each step: the lowest successor that is t or reaches it
         while path[-1] != t:

@@ -9,7 +9,7 @@ ordinary word-representation by alternation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Optional
 
 from . import _kernels
@@ -44,15 +44,17 @@ def pattern_counts(w: Word) -> list[int]:
 def _represented(w: Word, k: int) -> tuple[list[int], list[int]]:
     """pattern_counts(w) and the adjacency masks, by alphabet index, of the
     graph ``w`` represents at level ``k``, after checking that every
-    alphabet letter occurs."""
+    alphabet letter occurs.
+
+    ``compress`` picks the edges out of the pairs in C, so the Python loop
+    runs once per edge, not once per pair."""
     _check_every_letter_occurs(w, set(w.letters))
     counts = pattern_counts(w)
     n = len(w.alphabet)
     adj = [0] * n
-    for (i, j), c in zip(combinations(range(n), 2), counts):
-        if c <= k:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
+    for i, j in compress(combinations(range(n), 2), [c <= k for c in counts]):
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
     return counts, adj
 
 
@@ -74,10 +76,11 @@ def verify_k11(w: Word, G: Graph, k: int) -> Verdict:
     if set(w.alphabet) != set(G.labels):
         raise ValueError("word alphabet does not match graph vertices")
     counts, adj = _represented(w, k)
-    aidx = {lab: a for a, lab in enumerate(w.alphabet)}
-    order = [aidx[lab] for lab in G.labels]
-    n = len(order)
-    if order != list(range(n)):
+    n = len(adj)
+    order = range(n)
+    if w.alphabet != G.labels:
+        aidx = {lab: a for a, lab in enumerate(w.alphabet)}
+        order = [aidx[lab] for lab in G.labels]
         # the represented graph in G's vertex order
         at = [G.index[lab] for lab in w.alphabet]
         adj = [_image_mask(at, adj[a]) for a in order]

@@ -7,7 +7,7 @@ shortcuts (bit tricks, pruning, reachability reformulations).
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from typing import Optional
 
 from wordrep import _kernels_py
@@ -74,6 +74,30 @@ def reference_verify_k11(w: Word, G: Graph, k: int) -> Verdict:
             elif c <= k:
                 return Verdict(False, (x, y, c, "non-edge"))
     return Verdict(True)
+
+
+def long_word_checks(rng, n: int, length: int) -> tuple[Word, int, Graph, list[Graph]]:
+    """A random word of ``length`` letters over n, a level k that makes
+    about half its pairs edges, the graph it represents at k (from
+    ``reference_word_pair_counts``; ``slow_graph_of_word`` takes a pass over
+    the word per pair), and graphs to verify it against: that graph, it with
+    one pair flipped and a random graph, each with its vertices in the
+    word's alphabet order and in a shuffled one."""
+    labels = tuple(f"v{i}" for i in range(n))
+    w = random_word(rng, labels, length - n)
+    counts = reference_word_pair_counts(w.letters, n)
+    k = sorted(counts)[len(counts) // 2]
+    pairs = list(combinations(labels, 2))
+    G = Graph.from_edges(labels, [p for p, c in zip(pairs, counts) if c <= k])
+    flip = rng.choice(pairs)
+    flipped = Graph.from_edges(labels, set(G.edge_labels()) ^ {flip})
+    noise = Graph.from_edges(labels, [p for p in pairs if rng.random() < 0.5])
+    shuffled = list(labels)
+    rng.shuffle(shuffled)
+    checked = []
+    for H in (G, flipped, noise):
+        checked += [H, Graph.from_edges(shuffled, H.edge_labels())]
+    return w, k, G, checked
 
 
 def all_orientations(G: Graph):

@@ -16,9 +16,10 @@ import pytest
 
 import wordrep
 from oracles import (
-    _non_neighbour_in, reference_word_pair_counts, relabelled, slow_canonical_min_bits, slow_refined_classes,
+    _non_neighbour_in, long_word_checks, reference_verify_k11, reference_word_pair_counts, relabelled,
+    slow_canonical_min_bits, slow_refined_classes,
 )
-from wordrep import _kernels, _kernels_py, orient, search
+from wordrep import _kernels, _kernels_py, orient, search, verify
 from wordrep.core import Graph, _refined_classes, complete_graph, cycle_graph, empty_graph
 
 
@@ -157,6 +158,25 @@ def test_word_pair_counts_parity(ext):
     for n, length in [(65, 3000), (300, 3000)] + [(rng.randrange(21, 301), rng.randrange(321, 3001)) for _ in range(10)]:
         letters = [rng.randrange(n) for _ in range(length)]
         assert ext.word_pair_counts(letters, n) == _kernels_py.word_pair_counts(letters, n)
+    for letters, n in _translate_limit_words(rng):
+        assert ext.word_pair_counts(letters, n) == _kernels_py.word_pair_counts(letters, n)
+
+
+def _translate_limit_words(rng):
+    """Words on both sides of each limit of the translate path in
+    ``_kernels_py.word_pair_counts``, as (letters, n): alphabets of 256 and
+    257 letters, lengths just below and at the length cut-off, a word of
+    20,000 letters, the empty word, and words that leave letters out."""
+    cut = _kernels_py._LONG_WORD
+    sizes = [(256, 3000), (257, 3000), (256, cut), (257, cut), (5, cut - 1), (5, cut), (16, cut - 1), (16, cut)]
+    sizes += [(32, 20_000), (7, 0)]
+    words = [([rng.randrange(n) for _ in range(length)], n) for n, length in sizes]
+    # the last byte value, and the top half or every odd letter absent
+    words.append((list(range(256)) * 2, 256))
+    for length in (cut - 1, cut, 2000):
+        words.append(([rng.randrange(20) for _ in range(length)], 40))
+        words.append(([2 * rng.randrange(20) for _ in range(length)], 40))
+    return words
 
 
 def test_word_pair_counts_matches_reference_on_every_short_word():
@@ -175,6 +195,18 @@ def test_word_pair_counts_matches_reference_on_long_words():
     for n, length in sizes:
         letters = [rng.randrange(n) for _ in range(length)]
         assert _kernels_py.word_pair_counts(letters, n) == reference_word_pair_counts(letters, n)
+    for letters, n in _translate_limit_words(rng):
+        assert _kernels_py.word_pair_counts(letters, n) == reference_word_pair_counts(letters, n)
+
+
+def test_translate_path_matches_reference_on_every_short_word(monkeypatch):
+    # the backwards positions of the translate path on every non-empty word
+    # over n <= 3 letters up to length 7
+    monkeypatch.setattr(_kernels_py, "_LONG_WORD", 1)
+    for n in range(1, 4):
+        for length in range(1, 8):
+            for letters in product(range(n), repeat=length):
+                assert _kernels_py.word_pair_counts(letters, n) == reference_word_pair_counts(letters, n)
 
 
 def test_dag_kernels_parity(ext):
@@ -429,6 +461,14 @@ def test_enumeration_through_extension(ext, monkeypatch):
     called = _spy_backend(monkeypatch, ext)
     assert [G.adj for G in search.enumerate_nonisomorphic(7)] == pure
     assert "canonical_min_bits" in called
+
+
+def test_long_word_verify_through_extension(ext, monkeypatch):
+    w, k, G, checked = long_word_checks(random.Random(53), 24, 3000)
+    called = _spy_backend(monkeypatch, ext)
+    assert verify.graph_of_word(w, k) == G
+    assert [verify.verify_k11(w, H, k) for H in checked] == [reference_verify_k11(w, H, k) for H in checked]
+    assert called == ["word_pair_counts"] * (1 + len(checked))
 
 
 def test_dispatcher_size_guards(monkeypatch):

@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
-from oracles import random_word, reference_verify_k11, slow_graph_of_word, slow_pattern_11
+from oracles import long_word_checks, random_word, reference_verify_k11, slow_graph_of_word, slow_pattern_11
 from wordrep import catalog
 from wordrep.core import (
     Graph,
@@ -148,6 +148,19 @@ class TestVerifyK11:
                         assert verify_k11(w, checked, k) == reference_verify_k11(w, checked, k)
                 assert verify_k11(w, G, k)
                 assert not verify_k11(w, flipped, k)
+
+    def test_long_words_match_reference_loop(self):
+        # words of thousands of letters, whose position masks come from the
+        # kernel's translate path: the same graph of the word, and the same
+        # Verdicts, witnesses included, against graphs in the word's
+        # alphabet order (no relabelling) and in a shuffled one
+        rng = random.Random(19)
+        for n, length in ((20, 2000), (24, 3000)):
+            w, k, G, checked = long_word_checks(rng, n, length)
+            assert graph_of_word(w, k) == G
+            verdicts = [verify_k11(w, H, k) for H in checked]
+            assert verdicts == [reference_verify_k11(w, H, k) for H in checked]
+            assert verdicts[0] and verdicts[1] and not verdicts[2] and not verdicts[3]
 
     def test_errors_match_reference_loop(self):
         K2 = complete_graph(("x", "y"))
