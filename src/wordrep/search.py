@@ -12,6 +12,7 @@ import os
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, Iterator, Optional, Sequence
 
 from .core import (
@@ -244,14 +245,19 @@ def _automorphisms(G: Graph, twins: Sequence[int]) -> list[tuple[int, ...]]:
 _DROP, _TIED, _SOLE = 0, 1, 2
 
 
-def _deletion_rule(adj: Sequence[int]) -> Callable[[int], int]:
-    """The canonical-deletion test for the one-vertex extensions of the
-    graph H with adjacency masks ``adj``: ``keeps(nbh)`` tells whether the
-    new vertex, joined to the vertices of the non-empty mask ``nbh``,
-    minimises (degree, -sum of its neighbours' degrees) among the child's
-    non-cut vertices.  It returns
+def _deletion_rule(adj: Sequence[int]) -> tuple[Callable[[int], int], Callable[[int], bytes]]:
+    """``(keeps, invariant)`` for the one-vertex extensions of the graph H
+    with adjacency masks ``adj``, the new vertex joined to the vertices of
+    the non-empty mask ``nbh``.
+
+    ``keeps(nbh)`` is the canonical-deletion test: does the new vertex
+    minimise (degree, -sum of its neighbours' degrees) among the child's
+    non-cut vertices?  It returns
     ``_DROP`` if it does not, ``_SOLE`` if it is the only such minimiser and
     ``_TIED`` if another vertex ties with it; both keeps are truthy.
+    ``invariant(nbh)`` is the child's sorted (degree, neighbour-degree sum)
+    pairs, one per vertex, flattened to bytes: isomorphic children have
+    equal invariants.
 
     The tables are built once per H.  With d = nbh.bit_count(), a vertex w
     of H has degree deg(w) + [w in nbh] in the child, so it is lighter than
@@ -311,12 +317,20 @@ def _deletion_rule(adj: Sequence[int]) -> Callable[[int], int]:
             return _DROP
         return _TIED if eligible(ties, nbh) else _SOLE
 
-    return keeps
+    def invariant(nbh: int) -> bytes:
+        d = nbh.bit_count()
+        pairs = [(d, d + sum(deg[u] for u in iter_mask(nbh)))]
+        for w, a in enumerate(adj):
+            inside = nbh >> w & 1
+            pairs.append((deg[w] + inside, sums[w] + (a & nbh).bit_count() + d * inside))
+        return bytes(x for pair in sorted(pairs) for x in pair)
+
+    return keeps, invariant
 
 
 def _canonical_bits_upto(n: int) -> list[int]:
     """Sorted canonical bits of the connected graphs on n vertices, grown by
-    one-vertex extensions of the family on n - 1.
+    one-vertex extensions of the family on n - 1 (``_children``).
 
     Every connected graph has a vertex whose removal leaves it connected, so
     the family grows from connected parents alone, by a vertex with a
@@ -341,25 +355,30 @@ def _canonical_bits_upto(n: int) -> list[int]:
     """
     if n not in _enum_cache:
         _enum_cache[n] = [0] if n == 1 else sorted({
-            canonical_form(child)[1] for bits in _canonical_bits_upto(n - 1)
-            for _nbh, child, _sole in _children(n, bits)})
+            canonical_form(_grown(adj, nbh))[1]
+            for adj in (_canonical_masks(n - 1, bits) for bits in _canonical_bits_upto(n - 1))
+            for nbh, _key in _children(n, adj)})
     return _enum_cache[n]
 
 
-def _children(n: int, bits: int) -> Iterator[tuple[int, Graph, bool]]:
-    """``(nbh, child, sole)`` for each extension of the parent with canonical
-    bits ``bits`` on n - 1 vertices that ``_canonical_bits_upto`` keeps: the
-    new vertex n - 1 joined to the mask ``nbh``, the child in the parent's
-    labelling, and whether the new vertex is the child's only canonical
-    deletion (``_deletion_rule`` gives ``_SOLE``).
+def _children(n: int, adj: Sequence[int]) -> Iterator[tuple[int, Optional[bytes]]]:
+    """``(nbh, key)`` for each extension of the connected parent with
+    adjacency masks ``adj`` on n - 1 vertices that the growth keeps
+    (``_canonical_bits_upto``): the new vertex n - 1 joined to the mask
+    ``nbh``, and None if the new vertex is the child's only canonical
+    deletion (``_deletion_rule`` gives ``_SOLE``), else the child's
+    invariant (``_deletion_rule``'s ``invariant``).  The parent is validated
+    as a ``Graph``; the child is left to the caller (``_grown``).
 
-    A sole child's class is met once in the whole growth of the level, here.
-    Suppose an isomorphism phi maps another kept extension (H', nbh') onto
-    this child G.  Then phi maps the new vertex of (H', nbh') to a non-cut
-    minimiser of G, which is unique: it is G's new vertex.  So H' is
-    isomorphic to this parent H, hence H' = H, as the parents are distinct
-    canonical forms, and phi restricted to H is an automorphism taking nbh'
-    to nbh.  Orbit pruning keeps one mask per orbit, so nbh' = nbh.
+    Grown from pairwise non-isomorphic parents, a sole child's class is met
+    once in the whole growth of the level, here.  Suppose an isomorphism phi
+    maps another kept extension (H', nbh') onto this child G.  Then phi maps
+    the new vertex of (H', nbh') to a non-cut minimiser of G, which is
+    unique: it is G's new vertex.  So H' is isomorphic to this parent H,
+    hence H' = H, and phi restricted to H is an automorphism taking nbh' to
+    nbh.  Orbit pruning keeps one mask per orbit, so nbh' = nbh.  A tied
+    child whose invariant no other kept child of the level has is met once
+    too, as isomorphic children have equal invariants.
 
     Orbits are taken modulo twins.  Only twin-canonical masks are listed:
     those that hold, of each twin class (``_twin_classes``), its lowest
@@ -369,12 +388,12 @@ def _children(n: int, bits: int) -> Iterator[tuple[int, Graph, bool]]:
     of any one of them under ``_automorphisms``' coset representatives.
     These map each twin class onto its image in increasing order, so the
     image of a twin-canonical mask is twin-canonical as it stands."""
-    base = graph_from_canonical_bits(n - 1, bits)
+    base = Graph(_labels(n - 1), tuple(adj))
     twins = _twin_classes(base.adj)
     identity = tuple(range(n - 1))
     # the identity maps a mask onto itself, which the loop has passed
     autos = [p for p in _automorphisms(base, twins) if p != identity]
-    keeps = _deletion_rule(base.adj)
+    keeps, invariant = _deletion_rule(base.adj)
     masks = [0]  # the twin-canonical masks: the lowest k of each twin class
     for cls in set(twins):
         masks += [m | cls & (2 << v) - 1 for m in masks for v in iter_mask(cls)]
@@ -388,9 +407,16 @@ def _children(n: int, bits: int) -> Iterator[tuple[int, Graph, bool]]:
         if not rule:
             continue
         seen.update(_image_mask(p, nbh) for p in autos)
-        child = [m | (nbh >> v & 1) << (n - 1) for v, m in enumerate(base.adj)]
-        child.append(nbh)
-        yield nbh, Graph(_labels(n), tuple(child)), rule == _SOLE
+        yield nbh, None if rule == _SOLE else invariant(nbh)
+
+
+def _grown(adj: Sequence[int], nbh: int) -> Graph:
+    """The graph with adjacency masks ``adj`` and a new last vertex joined
+    to the vertices of the mask ``nbh``."""
+    n = len(adj)
+    child = [m | (nbh >> v & 1) << n for v, m in enumerate(adj)]
+    child.append(nbh)
+    return Graph(_labels(n + 1), tuple(child))
 
 
 def enumerate_nonisomorphic(n: int, connected_only: bool = False) -> Iterator[Graph]:
@@ -507,76 +533,127 @@ def _refuted_deletion(n: int, form: int, refuted: dict[tuple[int, ...], set[int]
     return None
 
 
-def _grown_verdicts(n: int, jobs: int) -> tuple[dict[int, tuple[bool, Optional[int]]], int]:
-    """Decide the connected graphs on n >= 2 vertices while growing them from
-    those on n - 1: ``({form: (word-representable?, parent)}, skipped)``,
-    where ``skipped`` counts the word-representable children decided without
-    a form.
-
-    Each parent gets one full search.  A child, in its parent's labelling,
-    is decided when it is met:
-
-    - a sole child of a word-representable parent (``_children``: no other
-      kept extension is isomorphic to it) is first extended (``_extend``):
-      the new vertex's edges are oriented arc by arc on top of the parent's
-      orientation, by the full search's per-arc rule.  Success is a
-      semi-transitive orientation, counted in ``skipped``, and the child
-      needs no canonical form, as its class is met nowhere else.  On
-      failure its form is left open, without a second try;
-    - every other child is decided when its form is first met.  Grown from
-      a refuted parent, it is not word-representable, as the parent is an
-      induced subgraph (word-representability is hereditary): ``(False,
-      parent)``.  Else it is extended as above: ``(True, parent)`` on
-      success; on failure the form is left open, and tried again where it
-      is met next.
-
-    A form still open is then looked up (``_refuted_deletion``): if one of
-    its connected one-vertex deletions is a parent that the full search
-    refuted, it is not word-representable either, by the same heredity:
-    ``(False, deletion)``.  Every connected graph with a refuted one-vertex
-    deletion has a connected one (``_refuted_deletion``), so the forms left
-    are the minimal non-word-representable graphs and the word-representable
-    forms that no extension decided.  They are decided by a full search
-    each: ``(verdict, None)``.  A failed extension never counts as a "no".
-    The parents and the open forms are searched in the pool, so the
-    verdicts, which follow the parents' canonical order, do not depend on
-    ``jobs``.
-    """
-    parents = _canonical_bits_upto(n - 1)
-    verdicts: dict[int, Optional[tuple[bool, Optional[int]]]] = {}  # None: open
+def _grown_level(n: int, parents: list, refuted: dict[tuple[int, ...], set[int]], pool, keep: bool):
+    """One level of ``_grown_verdicts``: decide the connected graphs on n
+    vertices while growing them from ``parents``, the representatives of
+    the level below, and ``refuted``, its refuted forms by sorted degree
+    sequence.  Returns ``(verdicts, skipped, grown, refuted)`` for this
+    level; ``grown``, its representatives, and ``refuted`` are built only
+    if ``keep``.  The refuted representatives come first: a child met
+    first from a refuted parent is decided without an extension that would
+    fail."""
+    verdicts: dict[int, Optional[tuple]] = {}  # None: open
+    grown = []
     skipped = 0
+    buckets: dict[bytes, list[tuple[int, int]]] = {}  # invariant: [(parent index, nbh)]
+
+    def sole():
+        for i, (adj, _succ) in enumerate(parents):
+            for nbh, key in _children(n, adj):
+                if key is None:
+                    yield i, nbh, True
+                else:
+                    buckets.setdefault(key, []).append((i, nbh))
+
+    def tied():
+        # read once sole() has filled the buckets; parent order
+        order = sorted((i, nbh, len(bucket) == 1) for bucket in buckets.values() for i, nbh in bucket)
+        buckets.clear()
+        yield from order
+
+    last = None
+    for i, nbh, unique in chain(sole(), tied()):
+        adj, succ = parents[i]
+        if i != last and succ is not None:
+            desc, anc = _reachability(succ)
+            start = (*succ, 0), desc + [0], anc + [0]
+            last = i
+        child = _grown(adj, nbh)
+        if unique and succ is not None:
+            D = _extend(child, nbh, start)
+            if D is None:
+                verdicts[canonical_form(child)[1]] = None  # met nowhere else
+            else:
+                skipped += 1
+        else:
+            form = canonical_form(child)[1]
+            if verdicts.get(form) is not None:
+                continue
+            if succ is None:
+                verdicts[form] = (False, adj)
+                continue
+            D = _extend(child, nbh, start)
+            verdicts[form] = None if D is None else (True, adj)
+        if keep and D is not None:
+            grown.append((child.adj, D.succ))
+    still_open = []
+    for form in sorted(form for form, verdict in verdicts.items() if verdict is None):
+        deletion = _refuted_deletion(n, form, refuted)
+        if deletion is None:
+            still_open.append(form)
+        else:
+            verdicts[form] = (False, tuple(_canonical_masks(n - 1, deletion)))
+    for form, succ in zip(still_open, _full_orientations(n, still_open, pool)):
+        verdicts[form] = (succ is not None, None)
+        if keep and succ is not None:
+            grown.append((tuple(_canonical_masks(n, form)), succ))
+    no, refuted_here = [], {}
+    for form, (ok, _parent) in verdicts.items():
+        if keep and not ok:
+            masks = tuple(_canonical_masks(n, form))
+            no.append((masks, None))
+            refuted_here.setdefault(tuple(sorted(a.bit_count() for a in masks)), set()).add(form)
+    return verdicts, skipped, no + grown, refuted_here
+
+
+def _grown_verdicts(n: int, jobs: int) -> tuple[dict[int, tuple[bool, Optional[tuple[int, ...]]]], int]:
+    """Decide the connected graphs on n >= 2 vertices while growing them
+    level by level from the one-vertex graph: ``({form: (word-
+    representable?, parent)}, skipped)`` for level n, where ``parent`` is
+    the adjacency masks of the graph on n - 1 vertices that decided the
+    form, and ``skipped`` counts the word-representable children decided
+    without a form.
+
+    Each level is grown (``_grown_level``) from the level below's
+    representatives: one graph per class, as adjacency masks in its own
+    labelling, with the successor masks of the semi-transitive orientation
+    that decided it, or None if it was refuted.  Growth needs only pairwise
+    non-isomorphic parents (``_children``), so no parent needs a canonical
+    form or a second search.  A child, in its parent's labelling, is
+    decided when it is met:
+
+    - a child met once in its level's growth (``_children``: a sole child,
+      or a tied child whose invariant no other kept child shares), of a
+      word-representable parent, is extended (``_extend``): the new
+      vertex's edges are oriented arc by arc on top of the parent's
+      orientation, by the full search's per-arc rule.  Success is a
+      semi-transitive orientation, counted in ``skipped`` without a form.
+      On failure its form is left open.  Tied children wait in buckets
+      keyed by their invariant, as (parent index, nbh) pairs, until the
+      level's last parent is grown;
+    - every other child is decided when its form is first met, in parent
+      order.  Grown from a refuted parent, it is not word-representable, as
+      the parent is an induced subgraph (word-representability is
+      hereditary): ``(False, parent)``.  Else it is extended: ``(True,
+      parent)`` on success; on failure the form is left open, and tried
+      again where it is met next.
+
+    An open form is then looked up (``_refuted_deletion``): if one of its
+    connected one-vertex deletions is refuted, it is not word-representable
+    either: ``(False, deletion)``, by the deletion's canonical masks, which
+    are its representative's.  As every connected graph with a refuted
+    one-vertex deletion has a connected one, the forms left are the minimal
+    non-word-representable graphs and the word-representable forms that no
+    extension decided: a full search each, ``(verdict, None)``.  A failed
+    extension never counts as a "no".  The open forms of every level are
+    searched in one pool, and the growth runs in this process, so the
+    verdicts do not depend on ``jobs``.
+    """
+    parents = [((0,), (0,))]  # the one-vertex graph, with its empty orientation
     refuted: dict[tuple[int, ...], set[int]] = {}
     with _pool(jobs) as pool:
-        for bits, found in zip(parents, _full_orientations(n - 1, parents, pool)):
-            if found is not None:
-                desc, anc = _reachability(found)
-                start = (*found, 0), desc + [0], anc + [0]
-            else:
-                degrees = tuple(sorted(a.bit_count() for a in _canonical_masks(n - 1, bits)))
-                refuted.setdefault(degrees, set()).add(bits)
-            for nbh, child, sole in _children(n, bits):
-                if sole and found is not None:
-                    if _extend(child, nbh, start) is not None:
-                        skipped += 1
-                    else:
-                        verdicts[canonical_form(child)[1]] = None  # met nowhere else
-                    continue
-                form = canonical_form(child)[1]
-                if verdicts.get(form) is not None:
-                    continue
-                if found is None:
-                    verdicts[form] = (False, bits)
-                else:
-                    verdicts[form] = (True, bits) if _extend(child, nbh, start) is not None else None
-        still_open = []
-        for form in sorted(form for form, verdict in verdicts.items() if verdict is None):
-            deletion = _refuted_deletion(n, form, refuted)
-            if deletion is None:
-                still_open.append(form)
-            else:
-                verdicts[form] = (False, deletion)
-        for bits, found in zip(still_open, _full_orientations(n, still_open, pool)):
-            verdicts[bits] = (found is not None, None)
+        for m in range(2, n + 1):
+            verdicts, skipped, parents, refuted = _grown_level(m, parents, refuted, pool, m < n)
     return verdicts, skipped
 
 

@@ -653,6 +653,13 @@ def slow_is_sole_canonical_deletion(adj) -> bool:
     return all(key[last] < key[v] for v in eligible if v != last)
 
 
+def slow_degree_sum_pairs(adj) -> list[tuple[int, int]]:
+    """The sorted (degree, sum of neighbours' degrees) pairs of the vertices
+    of the graph with adjacency masks ``adj``."""
+    key, _eligible = _deletion_keys(adj)
+    return sorted((d, -negated) for d, negated in key)
+
+
 def slow_canonical_bits_upto(n: int, connected: bool) -> list[int]:
     """The enumeration's growth before the canonical-deletion filter (and
     with no cache): every orbit-smallest one-vertex extension of every

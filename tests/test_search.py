@@ -5,7 +5,8 @@ import random
 import subprocess
 import sys
 from contextlib import nullcontext
-from itertools import permutations
+from collections import Counter
+from itertools import chain, permutations
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,6 +17,7 @@ from oracles import (
     brute_force_uniform_word,
     relabelled,
     slow_canonical_bits_upto,
+    slow_degree_sum_pairs,
     slow_is_canonical_deletion,
     slow_is_sole_canonical_deletion,
     slow_search_k11_word,
@@ -49,25 +51,33 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def _record_lookups(mp) -> set:
     """Patch ``search._refuted_deletion`` through the monkeypatch ``mp`` to
-    collect the forms that a lookup decides; return that set."""
+    collect the forms that a lookup decides, as (n, form) pairs; return that
+    set."""
     looked_up = set()
     lookup = search._refuted_deletion
 
     def recorded(n, form, refuted):
         deletion = lookup(n, form, refuted)
         if deletion is not None:
-            looked_up.add(form)
+            looked_up.add((n, form))
         return deletion
 
     mp.setattr(search, "_refuted_deletion", recorded)
     return looked_up
 
 
+def _parent_graph(parent) -> Graph:
+    """The graph that a grown verdict names as its parent, by the parent's
+    adjacency masks."""
+    return Graph(tuple(str(i + 1) for i in range(len(parent))), parent)
+
+
 def _is_connected_deletion(G, parent) -> bool:
-    """Is the graph with canonical bits ``parent`` on G.n - 1 vertices a
+    """Is the graph with adjacency masks ``parent`` on G.n - 1 vertices a
     connected one-vertex deletion of G?"""
+    form = canonical_form(_parent_graph(parent))
     deletions = (G.delete_vertex(v) for v in G.labels)
-    return any(D.is_connected() and canonical_form(D) == (G.n - 1, parent) for D in deletions)
+    return any(D.is_connected() and canonical_form(D) == form for D in deletions)
 
 
 def _is_minimal_non_word_representable(G) -> bool:
@@ -77,15 +87,24 @@ def _is_minimal_non_word_representable(G) -> bool:
 @pytest.fixture(scope="module")
 def census_8():
     """``census_non_word_representable(8)`` from one growth of level 8,
-    shared by the tests that read it: the result, the grown verdicts and
-    the forms that a lookup decided."""
+    shared by the tests that read it: the result, the grown verdicts, the
+    forms that a lookup decided and, for each level n = 2..8, the
+    representatives of level n - 1 that it was grown from."""
     grown = []
+    parents = {}
     grow = search._grown_verdicts
+    grow_level = search._grown_level
+
+    def recorded(n, level_parents, *rest):
+        parents[n] = level_parents
+        return grow_level(n, level_parents, *rest)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "_grown_verdicts", lambda n, jobs: grown.append(grow(n, jobs)) or grown[-1])
+        mp.setattr(search, "_grown_level", recorded)
         looked_up = _record_lookups(mp)
         result = census_non_word_representable(8)
-    return SimpleNamespace(result=result, verdicts=grown[0][0], looked_up=looked_up)
+    return SimpleNamespace(result=result, verdicts=grown[0][0], looked_up=looked_up, parents=parents)
 
 
 @pytest.fixture
@@ -306,16 +325,19 @@ class TestEnumeration:
             calls.clear()
             list(enumerate_nonisomorphic(7, connected))
             assert len(calls) == expected
-        # a census grows the connected families on 2..6 vertices and decides
-        # level 7 as it grows it; the 510 children whose new vertex is their
-        # only canonical deletion and whose extension succeeds get no form
-        # (1,048 calls with a form for every child; 1,361 with the degree
-        # rule alone).  Looking up the 42 open forms costs 7 forms of
-        # deletions, all hits
-        monkeypatch.setattr(search, "_enum_cache", {})
+        # a census decides every level as it grows it from the one-vertex
+        # graph.  A child met once in its level's growth (a sole child, or a
+        # tied child alone in its invariant's bucket) whose extension
+        # succeeds gets no form (718 children on 7 vertices); every other
+        # child gets one: 14 on 6 vertices and 185 on 7.  Looking up the 40
+        # open forms on 7 vertices costs 7 forms of 6-vertex deletions, all
+        # hits.  That is 206 forms instead of 545, when levels 2..6 were
+        # enumerated with a form for every child and only sole children
+        # went without one (1,048 with a form for every child; 1,361 with
+        # the degree rule alone)
         calls.clear()
         census_non_word_representable(7)
-        assert len(calls) == 538 + 7
+        assert Counter(G.n for G in calls) == {6: 14 + 7, 7: 185}
 
     @staticmethod
     def _keeps(adj):
@@ -323,7 +345,7 @@ class TestEnumeration:
         # last vertex from the parent without it; the oracles must agree
         last = len(adj) - 1
         parent = [m & ~(1 << last) for m in adj[:last]]
-        keeps = search._deletion_rule(parent)(adj[last])
+        keeps = search._deletion_rule(parent)[0](adj[last])
         assert bool(keeps) == slow_is_canonical_deletion(adj)
         assert (keeps == search._SOLE) == slow_is_sole_canonical_deletion(adj)
         return keeps
@@ -369,17 +391,20 @@ class TestEnumeration:
     def test_deletion_rule_matches_oracle_up_to_6(self):
         # the parent-table filter decides every extension of every parent
         # on at most 6 vertices as the child-level oracles do, keep or drop
-        # and sole or not, on each parent as enumerated and relabelled
+        # and sole or not, on each parent as enumerated and relabelled; the
+        # invariant read off the parent's tables is the child's sorted
+        # (degree, neighbour-degree sum) pairs
         rng = random.Random(10)
         for m in range(1, 7):
             for H in enumerate_nonisomorphic(m, connected_only=True):
                 for F in (H, relabelled(rng, H)):
-                    keeps = search._deletion_rule(F.adj)
+                    keeps, invariant = search._deletion_rule(F.adj)
                     for nbh in range(1, 1 << m):
                         child = [a | (nbh >> v & 1) << m for v, a in enumerate(F.adj)] + [nbh]
                         rule = keeps(nbh)
                         assert bool(rule) == slow_is_canonical_deletion(child)
                         assert (rule == search._SOLE) == slow_is_sole_canonical_deletion(child)
+                        assert invariant(nbh) == bytes(chain.from_iterable(slow_degree_sum_pairs(child)))
 
     @staticmethod
     def _check_cosets(G):
@@ -473,8 +498,13 @@ class TestEnumeration:
 
 
 # sha256 prefixes of the census and enumeration output, as recorded in
-# BENCH_pr6.json (identical_output_sha256_16) with its identical_output_method
-PINNED_CENSUS = {5: "241d83f56f9b66b0", 6: "dda559b94539c0f7", 7: "e5ff377c1f392d05"}
+# BENCH_pr6.json (identical_output_sha256_16) with its identical_output_method;
+# the census ones for n = 1..4 were taken the same way from the census that
+# grew the levels below n with a canonical form for every child
+PINNED_CENSUS = {
+    1: "7ca102f39cea7f41", 2: "35c8a16f61d31378", 3: "c1df72db5030b5d3", 4: "ef953d9517b63cfd",
+    5: "241d83f56f9b66b0", 6: "dda559b94539c0f7", 7: "e5ff377c1f392d05",
+}
 PINNED_ENUMERATION = {
     (1, False): "e9dfc3de7acd56bc", (1, True): "e9dfc3de7acd56bc",
     (2, False): "f855b3dfb088a4fc", (2, True): "b88797b3fac3b1fe",
@@ -556,23 +586,27 @@ class TestCensus:
         assert sum(b.used for b in budgets) == 16747
 
     def test_grown_census_nodes_n7(self, monkeypatch):
-        # full searches of the 112 parents and of the 35 forms that neither
-        # an extension nor a lookup decided, plus the arcs of 846 extensions
-        # (803 succeed): 5,478 nodes instead of the 16,747 of a full search
-        # per graph (7,792 when the 7 looked-up forms were searched too)
-        search._canonical_bits_upto(6)
+        # levels 2..7 grown from the one-vertex graph: full searches of the
+        # 35 forms (2 on 6 vertices, 33 on 7) that neither an extension nor
+        # a lookup decided, plus the arcs of 989 extensions (945 succeed):
+        # 4,712 nodes instead of the 16,747 of a full search per graph
+        # (5,478 when each of the 112 parents on 6 vertices got a full
+        # search and 846 children were extended; 7,792 when the 7 looked-up
+        # forms were searched too)
         budgets = self._record_budgets(monkeypatch)
         r = census_non_word_representable(7)
         assert (r.examined, len(r.non_word_representable)) == (853, 25)
-        assert len(budgets) == 112 + 35 + 846
-        assert sum(b.used for b in budgets) == 5478
+        assert len(budgets) == 35 + 989
+        assert sum(b.used for b in budgets) == 4712
 
     def test_grown_verdicts_equal_full_search_up_to_7(self, monkeypatch):
-        # every "yes" of an extension is a semi-transitive orientation, every
-        # inherited or looked-up "no" names a refuted parent that the child
-        # induces, and every verdict is a full search's.  The children
-        # counted without a form (the extended orientations whose form no
-        # verdict holds) are distinct classes, and together with the
+        # every "yes" of an extension is a semi-transitive orientation, and
+        # every verdict is a full search's.  Every extended "yes" names a
+        # word-representable parent and every inherited or looked-up "no" a
+        # refuted one, each a connected one-vertex deletion of the child.
+        # The children counted without a form (the extended orientations of
+        # level n whose form no verdict holds; the levels below are
+        # extended too) are distinct classes, and together with the
         # verdicts they are the whole level
         extended = []
 
@@ -587,11 +621,11 @@ class TestCensus:
             extended.clear()
             verdicts, skipped = search._grown_verdicts(n, 1)
             assert all(orient.is_semi_transitive(D) for D in extended)
-            forms = [canonical_form(D.base)[1] for D in extended]
-            sole_forms = [form for form in forms if form not in verdicts]
-            assert len(set(sole_forms)) == len(sole_forms) == skipped
-            assert sorted(set(sole_forms) | set(verdicts)) == search._canonical_bits_upto(n)
-            assert len(extended) == skipped + sum(1 for ok, parent in verdicts.values() if ok and parent is not None)
+            forms = [canonical_form(D.base)[1] for D in extended if D.base.n == n]
+            unique_forms = [form for form in forms if form not in verdicts]
+            assert len(set(unique_forms)) == len(unique_forms) == skipped
+            assert sorted(set(unique_forms) | set(verdicts)) == search._canonical_bits_upto(n)
+            assert len(forms) == skipped + sum(1 for ok, parent in verdicts.values() if ok and parent is not None)
             for form, (ok, parent) in verdicts.items():
                 G = graph_from_canonical_bits(n, form)
                 assert ok == is_word_representable(G)
@@ -600,18 +634,19 @@ class TestCensus:
                     if not ok:
                         assert _is_minimal_non_word_representable(G)
                 else:
-                    kind = "looked-up" if form in looked_up else "extended" if ok else "inherited"
-                    H = graph_from_canonical_bits(n - 1, parent)
+                    kind = "looked-up" if (n, form) in looked_up else "extended" if ok else "inherited"
+                    H = _parent_graph(parent)
                     assert (search_semi_transitive(H) is not None) == ok
                     assert _is_connected_deletion(G, parent)
                 kinds[n, kind] = kinds.get((n, kind), 0) + 1
-            kinds[n, "sole"] = skipped
+            kinds[n, "unique"] = skipped
         assert not any(kind in ("inherited", "looked-up") for n, kind in kinds if n < 7)
         assert [kinds.get((n, "searched no"), 0) for n in range(2, 8)] == [0, 0, 0, 0, 1, 10]
-        # census 7: 803 forms extended, 510 of them counted without a form;
-        # 25 "no"s, of which only the 10 minimal ones are searched
-        split = tuple(kinds[7, kind] for kind in ("extended", "sole", "inherited", "looked-up", "searched", "searched no"))
-        assert split == (293, 510, 8, 7, 25, 10)
+        # census 7: 805 forms extended, 718 of them counted without a form
+        # (510 and 293 when only sole children were); 25 "no"s, of which
+        # only the 10 minimal ones are searched
+        split = tuple(kinds[7, kind] for kind in ("extended", "unique", "inherited", "looked-up", "searched", "searched no"))
+        assert split == (87, 718, 8, 7, 23, 10)
         assert census_non_word_representable(1) == search.CensusResult(1, 1, ())
 
     def test_pool_has_at_most_one_worker_per_cpu(self, monkeypatch, fake_executor):
@@ -686,10 +721,31 @@ class TestCensus:
                 searched_no += 1
                 assert _is_minimal_non_word_representable(G)
             else:
-                looked_up += form in census_8.looked_up
-                assert parent in refuted
+                looked_up += (8, form) in census_8.looked_up
+                assert canonical_form(_parent_graph(parent))[1] in refuted
                 assert _is_connected_deletion(G, parent)
-        assert (searched_no, looked_up, len(census_8.looked_up)) == (47, 354, 354)
+        assert (searched_no, looked_up, len(census_8.looked_up)) == (47, 354, 354 + 7)
+
+    def test_lone_tied_children_are_met_once(self, census_8):
+        # on every level of census 8, a tied child alone in its invariant's
+        # bucket, like a sole child, has a canonical form that no other
+        # kept child of its level has; the kept children of the
+        # representatives are every class of the level (OEIS A001349)
+        counts = []
+        for n, parents in sorted(census_8.parents.items()):
+            kept = [(key, canonical_form(search._grown(adj, nbh))) for adj, _succ in parents
+                    for nbh, key in search._children(n, adj)]
+            forms = Counter(form for _key, form in kept)
+            keys = Counter(key for key, _form in kept if key is not None)
+            assert all(forms[form] == 1 for key, form in kept if key is None or keys[key] == 1)
+            lone = sum(1 for count in keys.values() if count == 1)
+            counts.append((len(forms), len(kept), sum(keys.values()), lone))
+        # (classes, kept children, tied children, lone tied children) for
+        # n = 2..8: at n = 7, 140 of the 363 tied children share a bucket
+        assert counts == [
+            (1, 1, 1, 1), (2, 2, 2, 2), (6, 6, 5, 5), (21, 21, 13, 13), (112, 115, 63, 51),
+            (853, 903, 363, 223), (11117, 12113, 4056, 1521),
+        ]
 
     def test_census_from_graph6_reads_the_header(self):
         # the optional header may prefix a graph's line, as the format
