@@ -298,6 +298,16 @@ def backtracking_transitive(G: Graph, max_nodes: Optional[int] = None) -> Option
     return None if succ is None else Orientation(G, tuple(succ))
 
 
+def search_only_extend(child: Graph, nbh: int, start) -> Optional[Orientation]:
+    """``search._extend`` before it tested the new vertex as a sink: the
+    orientation of ``child`` that ``orient._search`` finds for the edges of
+    its new vertex, joined to the mask ``nbh``, on top of the parent's
+    orientation and reachability ``start``, with ``shortcut_in``, or None."""
+    edges = [(v, child.n - 1) for v in iter_mask(nbh)]
+    succ = _search(child, None, _kernels_py.shortcut_in, (*start, edges))
+    return None if succ is None else Orientation(child, tuple(succ))
+
+
 # The transitive search that ``backtracking_transitive`` replaced, verbatim
 # apart from its name.
 
@@ -653,11 +663,16 @@ def slow_is_sole_canonical_deletion(adj) -> bool:
     return all(key[last] < key[v] for v in eligible if v != last)
 
 
-def slow_degree_sum_pairs(adj) -> list[tuple[int, int]]:
-    """The sorted (degree, sum of neighbours' degrees) pairs of the vertices
-    of the graph with adjacency masks ``adj``."""
+def slow_degree_sum_triangle_triples(adj) -> list[tuple[int, int, int]]:
+    """The sorted (degree, sum of neighbours' degrees, triangles through
+    the vertex) triples of the vertices of the graph with adjacency masks
+    ``adj``; a triangle through v is a pair of adjacent neighbours of v."""
     key, _eligible = _deletion_keys(adj)
-    return sorted((d, -negated) for d, negated in key)
+    n = len(adj)
+    triangles = [sum(1 for u, w in combinations(range(n), 2)
+                     if all(adj[a] >> b & 1 for a, b in ((v, u), (v, w), (u, w))))
+                 for v in range(n)]
+    return sorted((d, -negated, t) for (d, negated), t in zip(key, triangles))
 
 
 def slow_canonical_bits_upto(n: int, connected: bool) -> list[int]:

@@ -16,8 +16,9 @@ from oracles import (
     brute_force_automorphisms,
     brute_force_uniform_word,
     relabelled,
+    search_only_extend,
     slow_canonical_bits_upto,
-    slow_degree_sum_pairs,
+    slow_degree_sum_triangle_triples,
     slow_is_canonical_deletion,
     slow_is_sole_canonical_deletion,
     slow_search_k11_word,
@@ -328,16 +329,17 @@ class TestEnumeration:
         # a census decides every level as it grows it from the one-vertex
         # graph.  A child met once in its level's growth (a sole child, or a
         # tied child alone in its invariant's bucket) whose extension
-        # succeeds gets no form (718 children on 7 vertices); every other
-        # child gets one: 14 on 6 vertices and 185 on 7.  Looking up the 40
+        # succeeds gets no form (758 children on 7 vertices); every other
+        # child gets one: 8 on 6 vertices and 145 on 7.  Looking up the 40
         # open forms on 7 vertices costs 7 forms of 6-vertex deletions, all
-        # hits.  That is 206 forms instead of 545, when levels 2..6 were
+        # hits.  That is 160 forms; 206 ({6: 14 + 7, 7: 185}) when the
+        # invariant had no triangle counts, 545 when levels 2..6 were
         # enumerated with a form for every child and only sole children
         # went without one (1,048 with a form for every child; 1,361 with
         # the degree rule alone)
         calls.clear()
         census_non_word_representable(7)
-        assert Counter(G.n for G in calls) == {6: 14 + 7, 7: 185}
+        assert Counter(G.n for G in calls) == {6: 8 + 7, 7: 145}
 
     @staticmethod
     def _keeps(adj):
@@ -393,7 +395,7 @@ class TestEnumeration:
         # on at most 6 vertices as the child-level oracles do, keep or drop
         # and sole or not, on each parent as enumerated and relabelled; the
         # invariant read off the parent's tables is the child's sorted
-        # (degree, neighbour-degree sum) pairs
+        # (degree, neighbour-degree sum, triangles) triples
         rng = random.Random(10)
         for m in range(1, 7):
             for H in enumerate_nonisomorphic(m, connected_only=True):
@@ -404,7 +406,7 @@ class TestEnumeration:
                         rule = keeps(nbh)
                         assert bool(rule) == slow_is_canonical_deletion(child)
                         assert (rule == search._SOLE) == slow_is_sole_canonical_deletion(child)
-                        assert invariant(nbh) == bytes(chain.from_iterable(slow_degree_sum_pairs(child)))
+                        assert invariant(nbh) == bytes(chain.from_iterable(slow_degree_sum_triangle_triples(child)))
 
     @staticmethod
     def _check_cosets(G):
@@ -588,16 +590,70 @@ class TestCensus:
     def test_grown_census_nodes_n7(self, monkeypatch):
         # levels 2..7 grown from the one-vertex graph: full searches of the
         # 35 forms (2 on 6 vertices, 33 on 7) that neither an extension nor
-        # a lookup decided, plus the arcs of 989 extensions (945 succeed):
-        # 4,712 nodes instead of the 16,747 of a full search per graph
-        # (5,478 when each of the 112 parents on 6 vertices got a full
-        # search and 846 children were extended; 7,792 when the 7 looked-up
-        # forms were searched too)
+        # a lookup decided, plus the arcs of the 204 of the 989 extensions
+        # (945 succeed) that the sink test leaves to a search: 3,456 nodes
+        # instead of the 16,747 of a full search per graph (4,712 when all
+        # 989 extensions ran a search; 5,478 when each of the 112 parents
+        # on 6 vertices got a full search and 846 children were extended;
+        # 7,792 when the 7 looked-up forms were searched too)
         budgets = self._record_budgets(monkeypatch)
         r = census_non_word_representable(7)
         assert (r.examined, len(r.non_word_representable)) == (853, 25)
-        assert len(budgets) == 35 + 989
-        assert sum(b.used for b in budgets) == 4712
+        assert len(budgets) == 35 + 204
+        assert sum(b.used for b in budgets) == 3456
+
+    def test_extensions_equal_search_only_extensions_up_to_7(self, monkeypatch):
+        # every extension of census 7, on levels 2..7 (a census n < 7 grows
+        # its levels the same way), returns the orientation, or None, of the
+        # search that ran before the sink test; 785 of the 989 pass the sink
+        # test
+        extend = search._extend
+        sink_test = search._sink_is_semi_transitive
+        calls, sinks = [], []
+
+        def checked(child, nbh, start):
+            D = extend(child, nbh, start)
+            expected = search_only_extend(child, nbh, start)
+            assert (None if D is None else D.succ) == (None if expected is None else expected.succ)
+            calls.append(child.n)
+            return D
+
+        monkeypatch.setattr(search, "_extend", checked)
+        monkeypatch.setattr(search, "_sink_is_semi_transitive", lambda *args: sinks.append(sink_test(*args)) or sinks[-1])
+        census_non_word_representable(7)
+        assert (len(calls), len(sinks), sum(sinks)) == (989, 989, 785)
+
+    def test_sink_test_matches_semi_transitivity(self):
+        # random semi-transitive parents on up to 10 vertices: a sparse
+        # random graph oriented along a random vertex order, kept if semi-
+        # transitive, or the search's orientation of a dense random graph.
+        # For every neighbourhood of a new vertex, the mask test says
+        # whether the new vertex as a sink keeps the orientation semi-
+        # transitive, as the full check of the child's orientation does
+        rng = random.Random(28)
+        outcomes = Counter()
+        for m, dense in chain(((m, False) for m in range(1, 11)), ((m, True) for m in range(4, 11))):
+            labels = tuple(str(v) for v in range(m))
+            D = None
+            while D is None:
+                order = rng.sample(range(m), m)
+                arcs = [(order[a], order[b]) for a in range(m) for b in range(a + 1, m)
+                        if rng.random() < (0.6 if dense else 0.3)]
+                H = Graph.from_index_edges(labels, arcs)
+                if dense:
+                    D = search_semi_transitive(H)
+                else:
+                    D = orient.Orientation.from_arcs(H, [(labels[x], labels[y]) for x, y in arcs])
+                    D = D if orient.is_semi_transitive(D) else None
+            succ = D.succ
+            desc, anc = orient._reachability(succ)
+            for nbh in range(1, 1 << m):
+                child = search._grown(H.adj, nbh)
+                sink = orient.Orientation(child, tuple(s | (nbh >> u & 1) << m for u, s in enumerate(succ)) + (0,))
+                verdict = search._sink_is_semi_transitive(H.adj, desc, anc, nbh)
+                assert verdict == orient.is_semi_transitive(sink)
+                outcomes[verdict] += 1
+        assert min(outcomes.values()) > 500
 
     def test_grown_verdicts_equal_full_search_up_to_7(self, monkeypatch):
         # every "yes" of an extension is a semi-transitive orientation, and
@@ -642,11 +698,12 @@ class TestCensus:
             kinds[n, "unique"] = skipped
         assert not any(kind in ("inherited", "looked-up") for n, kind in kinds if n < 7)
         assert [kinds.get((n, "searched no"), 0) for n in range(2, 8)] == [0, 0, 0, 0, 1, 10]
-        # census 7: 805 forms extended, 718 of them counted without a form
-        # (510 and 293 when only sole children were); 25 "no"s, of which
-        # only the 10 minimal ones are searched
+        # census 7: 805 forms extended, 758 of them counted without a form
+        # (718 when the invariant had no triangle counts; 510 when only
+        # sole children were); 25 "no"s, of which only the 10 minimal ones
+        # are searched
         split = tuple(kinds[7, kind] for kind in ("extended", "unique", "inherited", "looked-up", "searched", "searched no"))
-        assert split == (87, 718, 8, 7, 23, 10)
+        assert split == (47, 758, 8, 7, 23, 10)
         assert census_non_word_representable(1) == search.CensusResult(1, 1, ())
 
     def test_pool_has_at_most_one_worker_per_cpu(self, monkeypatch, fake_executor):
@@ -741,10 +798,12 @@ class TestCensus:
             lone = sum(1 for count in keys.values() if count == 1)
             counts.append((len(forms), len(kept), sum(keys.values()), lone))
         # (classes, kept children, tied children, lone tied children) for
-        # n = 2..8: at n = 7, 140 of the 363 tied children share a bucket
+        # n = 2..8: at n = 7, 98 of the 363 tied children share a bucket
+        # (140, and 51, 223 and 1,521 lone ones at n = 6, 7, 8, when the
+        # invariant had no triangle counts)
         assert counts == [
-            (1, 1, 1, 1), (2, 2, 2, 2), (6, 6, 5, 5), (21, 21, 13, 13), (112, 115, 63, 51),
-            (853, 903, 363, 223), (11117, 12113, 4056, 1521),
+            (1, 1, 1, 1), (2, 2, 2, 2), (6, 6, 5, 5), (21, 21, 13, 13), (112, 115, 63, 57),
+            (853, 903, 363, 265), (11117, 12113, 4056, 2070),
         ]
 
     def test_census_from_graph6_reads_the_header(self):
