@@ -192,8 +192,11 @@ def canonical_min_bits(n, adj, classes):
     read as an integer with position 0 most significant.
 
     Orderings are built depth-first, one position at a time, from a bitmask
-    of the still free vertices of each class; memory is O(n^2).  Two prunings
-    leave the minimum unchanged:
+    of the still free vertices of each class.  Memory is O(n^4) bits, set by
+    ``_column_bits(n)``, cached per n: n(n-1)/2 powers of two of up to
+    n(n-1)/2 bits each (7.8 MB at n = 150); the recursion holds one partial
+    bitstring per position, O(n^3) bits.  Two prunings leave the minimum
+    unchanged:
 
     - bound: placing position p adds the pairs (a, p), a < p, to a partial
       bitstring.  Bits are only ever added, so a prefix whose partial is not

@@ -12,7 +12,6 @@ import os
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import Callable, Iterator, Optional, Sequence
 
 from .core import (
@@ -44,10 +43,11 @@ def is_word_representable(G: Graph) -> bool:
 
 
 def _search_word(
-    G: Graph, k: int, length: int, quota: Optional[int], counter: _Budget
+    G: Graph, k: int, length: int, quota: int, counter: _Budget
 ) -> Optional[Word]:
     """Backtracking search for a k-11-representant of G with ``length``
-    letters, at most ``quota`` copies of each (None: no limit).
+    letters, at most ``quota`` copies of each (a quota of ``length`` never
+    binds).
 
     Placing a adds an 11 to each pair {a, b} whose subword ends in a, i.e.
     lastpos[a] > lastpos[b].  Edge pairs may never exceed k 11s; with k = 0
@@ -127,7 +127,8 @@ def find_k11_representant(
 ) -> Optional[Word]:
     """Iterative-deepening search for a k-11-representant of bounded length.
 
-    Each length runs ``_search_word`` without a quota, on one counter.
+    Each length runs ``_search_word`` with a quota of that length, which
+    never binds, on one counter.
     Edge pairs may accumulate at most k 11s (pruned immediately); at the
     leaf every vertex must occur and every non-edge pair must have at least
     k+1 of them.  Every returned word is re-verified; k < 0 raises
@@ -137,7 +138,7 @@ def find_k11_representant(
         raise ValueError("k must be non-negative")
     counter = _Budget(budget.max_nodes)
     for length in range(G.n, budget.max_word_length + 1):
-        w = _search_word(G, k, length, None, counter)
+        w = _search_word(G, k, length, length, counter)
         if w is not None:
             return w
     return None
@@ -240,8 +241,7 @@ def _automorphisms(G: Graph, twins: Sequence[int]) -> list[tuple[int, ...]]:
     return out
 
 
-# what ``_deletion_rule``'s ``keeps`` returns: drop the extension, keep it
-# while another vertex ties with the new one, or keep it as the only minimiser
+# what ``_deletion_rule``'s ``keeps`` returns for an extension
 _DROP, _TIED, _SOLE = 0, 1, 2
 
 
@@ -250,11 +250,10 @@ def _deletion_rule(adj: Sequence[int]) -> tuple[Callable[[int], int], Callable[[
     with adjacency masks ``adj``, the new vertex joined to the vertices of
     the non-empty mask ``nbh``.
 
-    ``keeps(nbh)`` is the canonical-deletion test: does the new vertex
-    minimise (degree, -sum of its neighbours' degrees) among the child's
-    non-cut vertices?  It returns
-    ``_DROP`` if it does not, ``_SOLE`` if it is the only such minimiser and
-    ``_TIED`` if another vertex ties with it; both keeps are truthy.
+    ``keeps(nbh)`` is ``_canonical_bits_upto``'s canonical-deletion test.
+    It returns ``_DROP`` if the new vertex fails it, ``_SOLE`` if it is the
+    child's only canonical deletion and ``_TIED`` if another vertex ties
+    with it (both truthy).
     ``invariant(nbh)`` is the child's sorted (degree, neighbour-degree sum,
     triangles through the vertex) triples, one per vertex, flattened to
     bytes: isomorphic children have equal invariants.
@@ -339,28 +338,21 @@ def _deletion_rule(adj: Sequence[int]) -> tuple[Callable[[int], int], Callable[[
 
 def _canonical_bits_upto(n: int) -> list[int]:
     """Sorted canonical bits of the connected graphs on n vertices, grown by
-    one-vertex extensions of the family on n - 1 (``_children``).
+    the one-vertex extensions (``_children``) of the family on n - 1.
 
     Every connected graph has a vertex whose removal leaves it connected, so
     the family grows from connected parents alone, by a vertex with a
-    non-empty neighbourhood.  Extensions by masks that an automorphism of
-    the parent maps onto each other are isomorphic; only the smallest mask of
-    each orbit is canonicalized.
+    non-empty neighbourhood, which is never a cut vertex of the child.
 
     Canonical deletion: an extension is kept only if its new vertex is one
     the child could have been grown from, that is, one that minimises the
     isomorphism invariant (degree, -sum of neighbour degrees) among the
-    child's non-cut vertices (the new vertex is never a cut vertex, as its
-    parent is connected).  Every class still appears.  Take a vertex v of a
-    graph G that meets the rule: G - v is connected, so some parent H has an
-    extension isomorphic to G with v as its new vertex, and it passes the
-    filter, as degrees, neighbour-degree sums and cut vertices are
-    invariant.  Orbit pruning keeps this: an automorphism of H extends to an
-    isomorphism of the children that fixes the new vertex, so the filter
-    passes or fails a whole orbit at once.  ``_deletion_rule`` decides the filter for each
-    mask from degree, neighbour-degree-sum and component tables built once
-    per parent, so only a child that passes gets a mask list, a ``Graph``
-    and a canonical form.
+    child's non-cut vertices.  Every class still appears.  Take a vertex v
+    of a graph G that meets the rule: G - v is connected, so some parent H
+    has an extension isomorphic to G with v as its new vertex, and it passes
+    the rule, as degrees, neighbour-degree sums and cut vertices are
+    invariant.  ``_deletion_rule`` decides the rule from tables of the
+    parent, so only a child that passes is built and gets a form.
     """
     if n not in _enum_cache:
         _enum_cache[n] = [0] if n == 1 else sorted({
@@ -371,35 +363,38 @@ def _canonical_bits_upto(n: int) -> list[int]:
 
 
 def _children(n: int, adj: Sequence[int]) -> Iterator[tuple[int, Optional[bytes]]]:
-    """``(nbh, key)`` for each extension of the connected parent with
+    """``(nbh, key)`` for each extension of the connected parent H with
     adjacency masks ``adj`` on n - 1 vertices that the growth keeps
     (``_canonical_bits_upto``): the new vertex n - 1 joined to the mask
     ``nbh``, and None if the new vertex is the child's only canonical
-    deletion (``_deletion_rule`` gives ``_SOLE``), else the child's
-    invariant (``_deletion_rule``'s ``invariant``).  The parent is validated
-    as a ``Graph``; the child is left to the caller (``_grown``).
+    deletion (``_SOLE``: a sole child), else the child's invariant
+    (``_deletion_rule``'s ``invariant``: a tied child).  H is validated as
+    a ``Graph``; the child is left to the caller (``_grown``).
 
-    Grown from pairwise non-isomorphic parents, a sole child's class is met
-    once in the whole growth of the level, here.  Suppose an isomorphism phi
-    maps another kept extension (H', nbh') onto this child G.  Then phi maps
-    the new vertex of (H', nbh') to a non-cut minimiser of G, which is
-    unique: it is G's new vertex.  So H' is isomorphic to this parent H,
+    Orbits: an automorphism of H extends to an isomorphism of the children
+    that fixes the new vertex, so the masks of one orbit give isomorphic
+    children, and the deletion rule passes or fails them all.  Only the
+    smallest mask of each orbit is kept.
+
+    Met once: grown from pairwise non-isomorphic parents, a sole child's
+    class is met once in the whole growth of its level, here.  Suppose an
+    isomorphism phi maps another kept extension (H', nbh') onto this child
+    G.  Then phi maps the new vertex of (H', nbh') to a non-cut minimiser of
+    G, which is unique: it is G's new vertex.  So H' is isomorphic to H,
     hence H' = H, and phi restricted to H is an automorphism taking nbh' to
-    nbh.  Orbit pruning keeps one mask per orbit, so nbh' = nbh.  A tied
-    child whose invariant no other kept child of the level has is met once
-    too, as isomorphic children have equal invariants.  The invariant's
-    triangle counts set apart tied children that degrees and neighbour-
-    degree sums alone do not: at n = 7, 265 of the 363 tied children are
-    alone in their bucket, against 223 without triangle counts.
+    nbh.  One mask per orbit is kept, so nbh' = nbh.  A tied child whose
+    invariant no other kept child of the level has is met once too, as
+    isomorphic children have equal invariants.
 
-    Orbits are taken modulo twins.  Only twin-canonical masks are listed:
-    those that hold, of each twin class (``_twin_classes``), its lowest
-    vertices.  Swapping twins moves a mask within its orbit, to a smaller
-    mask when it brings in a lower twin, so the smallest mask of an orbit is
-    twin-canonical, and the twin-canonical masks of an orbit are the images
-    of any one of them under ``_automorphisms``' coset representatives.
-    These map each twin class onto its image in increasing order, so the
-    image of a twin-canonical mask is twin-canonical as it stands."""
+    Twins: orbits are taken modulo twins.  Only twin-canonical masks are
+    listed: those that hold, of each twin class (``_twin_classes``), its
+    lowest vertices.  Swapping twins moves a mask within its orbit, to a
+    smaller mask when it brings in a lower twin, so the smallest mask of an
+    orbit is twin-canonical, and the twin-canonical masks of an orbit are
+    the images of any one of them under ``_automorphisms``' coset
+    representatives.  These map each twin class onto its image in
+    increasing order, so the image of a twin-canonical mask is
+    twin-canonical as it stands."""
     base = Graph(_labels(n - 1), tuple(adj))
     twins = _twin_classes(base.adj)
     identity = tuple(range(n - 1))
@@ -491,13 +486,6 @@ def _pool(jobs: int):
     from concurrent.futures import ProcessPoolExecutor
 
     return ProcessPoolExecutor(max_workers=workers)
-
-
-def _searched(n: int, forms: list[int], jobs: int) -> dict[int, bool]:
-    """{form: is it word-representable?} for each canonical form, by a full
-    search in a pool of ``jobs`` workers."""
-    with _pool(jobs) as pool:
-        return {bits: succ is not None for bits, succ in zip(forms, _full_orientations(n, forms, pool))}
 
 
 def _census_result(n: int, verdicts: dict[int, bool], skipped: int = 0) -> CensusResult:
@@ -599,141 +587,120 @@ def _refuted_deletion(n: int, form: int, refuted: dict[tuple[int, ...], set[int]
     return None
 
 
-def _grown_level(n: int, parents: list, refuted: dict[tuple[int, ...], set[int]], pool, keep: bool):
-    """One level of ``_grown_verdicts``: decide the connected graphs on n
-    vertices while growing them from ``parents``, the representatives of
-    the level below, and ``refuted``, its refuted forms by sorted degree
-    sequence.  Returns ``(verdicts, skipped, grown, refuted)`` for this
-    level; ``grown``, its representatives, and ``refuted`` are built only
-    if ``keep``.  The refuted representatives come first: a child met
-    first from a refuted parent is decided without an extension that would
-    fail."""
-    verdicts: dict[int, Optional[tuple]] = {}  # None: open
-    grown = []
-    skipped = 0
-    # each tied child as one int, (parent index << n | nbh) << 1 | lone: the
-    # first with its invariant in ``buckets``, lone until another has it,
-    # the others in ``repeats``
-    buckets: dict[bytes, int] = {}
-    repeats: list[int] = []
-
-    def sole():
-        for i, (adj, _succ) in enumerate(parents):
-            for nbh, key in _children(n, adj):
-                if key is None:
-                    yield i, nbh, True
-                    continue
-                c = (i << n | nbh) << 1
-                first = buckets.get(key)
-                if first is None:
-                    buckets[key] = c | 1
-                else:
-                    buckets[key] = first & ~1
-                    repeats.append(c)
-
-    def tied():
-        # read once sole() has filled the buckets; parent order
-        order = sorted(chain(buckets.values(), repeats))
-        buckets.clear()
-        repeats.clear()
-        every = (1 << n) - 1
-        for c in order:
-            yield c >> n + 1, c >> 1 & every, c & 1
-
-    last = None
-    for i, nbh, unique in chain(sole(), tied()):
-        adj, succ = parents[i]
-        if i != last and succ is not None:
-            desc, anc = _reachability(succ)
-            start = (*succ, 0), desc + [0], anc + [0]
-            last = i
-        child = _grown(adj, nbh)
-        if unique and succ is not None:
-            D = _extend(child, nbh, start)
-            if D is None:
-                verdicts[canonical_form(child)[1]] = None  # met nowhere else
+def _level_children(n: int, parents: list) -> Iterator[int]:
+    """Each kept child (``_children``) of the representatives ``parents``
+    of level n - 1, as one int, ``(i << n | nbh) << 1 | unique``: the index
+    i of its parent, the mask nbh of its new vertex's neighbours, and
+    whether it is met once in the level (``_children``).  Sole children
+    come as they are grown.  A tied child waits, the first with its
+    invariant in a dict keyed by it (unique until another child has that
+    invariant), the others in a list.  After the last parent the dict is
+    freed, and the tied children follow in parent order: their ints,
+    sorted."""
+    first: dict[bytes, int] = {}
+    tied: list[int] = []
+    for i, (adj, _succ) in enumerate(parents):
+        for nbh, key in _children(n, adj):
+            c = (i << n | nbh) << 1
+            if key is None:
+                yield c | 1
+            elif key in first:
+                first[key] &= ~1
+                tied.append(c)
             else:
-                skipped += 1
-        else:
-            form = canonical_form(child)[1]
-            if verdicts.get(form) is not None:
-                continue
-            if succ is None:
-                verdicts[form] = (False, adj)
-                continue
-            D = _extend(child, nbh, start)
-            verdicts[form] = None if D is None else (True, adj)
-        if keep and D is not None:
-            grown.append((child.adj, D.succ))
-    still_open = []
-    for form in sorted(form for form, verdict in verdicts.items() if verdict is None):
-        deletion = _refuted_deletion(n, form, refuted)
-        if deletion is None:
-            still_open.append(form)
-        else:
-            verdicts[form] = (False, tuple(_canonical_masks(n - 1, deletion)))
-    for form, succ in zip(still_open, _full_orientations(n, still_open, pool)):
-        verdicts[form] = (succ is not None, None)
-        if keep and succ is not None:
-            grown.append((tuple(_canonical_masks(n, form)), succ))
-    no, refuted_here = [], {}
-    for form, (ok, _parent) in verdicts.items():
-        if keep and not ok:
-            masks = tuple(_canonical_masks(n, form))
-            no.append((masks, None))
-            refuted_here.setdefault(tuple(sorted(a.bit_count() for a in masks)), set()).add(form)
-    return verdicts, skipped, no + grown, refuted_here
+                first[key] = c | 1
+    tied += first.values()
+    del first
+    tied.sort()
+    yield from tied
 
 
 def _grown_verdicts(n: int, jobs: int) -> tuple[dict[int, tuple[bool, Optional[tuple[int, ...]]]], int]:
-    """Decide the connected graphs on n >= 2 vertices while growing them
+    """Decide the connected graphs on n >= 1 vertices while growing them
     level by level from the one-vertex graph: ``({form: (word-
     representable?, parent)}, skipped)`` for level n, where ``parent`` is
     the adjacency masks of the graph on n - 1 vertices that decided the
-    form, and ``skipped`` counts the word-representable children decided
-    without a form.
+    form, and ``skipped`` counts the word-representable graphs decided
+    without a form (at n = 1, the one-vertex graph).
 
-    Each level is grown (``_grown_level``) from the level below's
-    representatives: one graph per class, as adjacency masks in its own
-    labelling, with the successor masks of the semi-transitive orientation
-    that decided it, or None if it was refuted.  Growth needs only pairwise
-    non-isomorphic parents (``_children``), so no parent needs a canonical
-    form or a second search.  A child, in its parent's labelling, is
-    decided when it is met:
+    Each level grows from the level below's representatives: one graph per
+    class, as adjacency masks in its own labelling, with the successor
+    masks of the semi-transitive orientation that decided it, or None if it
+    was refuted.  Growth needs only pairwise non-isomorphic parents
+    (``_children``), so no parent needs a form or a second search.  Each
+    child is decided, in its parent's labelling, as ``_level_children``
+    yields it:
 
-    - a child met once in its level's growth (``_children``: a sole child,
-      or a tied child whose invariant no other kept child shares), of a
-      word-representable parent, is extended (``_extend``): the new vertex
-      as a sink, if one mask test passes, else its edges oriented arc by
-      arc on top of the parent's orientation, by the full search's per-arc
-      rule.  Success is a semi-transitive orientation, counted in
-      ``skipped`` without a form.  On failure its form is left open.  Tied
-      children wait in buckets keyed by their invariant, each as one int
-      that packs its parent index, nbh and whether it is still alone in
-      its bucket, until the level's last parent is grown;
-    - every other child is decided when its form is first met, in parent
-      order.  Grown from a refuted parent, it is not word-representable, as
-      the parent is an induced subgraph (word-representability is
-      hereditary): ``(False, parent)``.  Else it is extended: ``(True,
-      parent)`` on success; on failure the form is left open, and tried
-      again where it is met next.
+    - a child met once, of a word-representable parent, is extended
+      (``_extend``): on success it is counted in ``skipped``, else its form
+      is left open;
+    - any other child is decided when its form is first met.  A child of a
+      refuted parent is a "no", as the parent is an induced subgraph
+      (word-representability is hereditary): ``(False, parent)``.  The
+      refuted parents come first, so that such a child skips an extension
+      that would fail.  Else it is extended: ``(True, parent)``, or its form
+      is left open and tried again where it is met next.
 
-    An open form is then looked up (``_refuted_deletion``): if one of its
-    connected one-vertex deletions is refuted, it is not word-representable
-    either: ``(False, deletion)``, by the deletion's canonical masks, which
-    are its representative's.  As every connected graph with a refuted
-    one-vertex deletion has a connected one, the forms left are the minimal
-    non-word-representable graphs and the word-representable forms that no
-    extension decided: a full search each, ``(verdict, None)``.  A failed
-    extension never counts as a "no".  The open forms of every level are
-    searched in one pool, and the growth runs in this process, so the
-    verdicts do not depend on ``jobs``.
+    An open form with a refuted connected one-vertex deletion
+    (``_refuted_deletion``) is ``(False, deletion)``, by the deletion's
+    canonical masks, which are its representative's.  The forms left, the
+    minimal non-word-representable graphs and the word-representable forms
+    that no extension decided, get a full search each, ``(verdict, None)``,
+    so a failed extension never counts as a "no".  Only these run in the
+    pool of ``jobs`` workers, so the verdicts do not depend on ``jobs``.
     """
-    parents = [((0,), (0,))]  # the one-vertex graph, with its empty orientation
-    refuted: dict[tuple[int, ...], set[int]] = {}
+    parents = [((0,), (0,))]  # the one-vertex graph, with its empty orientation,
+    verdicts, skipped = {}, 1  # counted without a form
+    refuted: dict[tuple[int, ...], set[int]] = {}  # {sorted degree sequence: forms}
     with _pool(jobs) as pool:
         for m in range(2, n + 1):
-            verdicts, skipped, parents, refuted = _grown_level(m, parents, refuted, pool, m < n)
+            keep = m < n
+            verdicts, skipped, grown, last = {}, 0, [], None  # verdict None: open
+            every = (1 << m) - 1
+            for c in _level_children(m, parents):
+                i, nbh = c >> m + 1, c >> 1 & every
+                adj, succ = parents[i]
+                if i != last and succ is not None:
+                    desc, anc = _reachability(succ)
+                    start = (*succ, 0), desc + [0], anc + [0]
+                    last = i
+                child = _grown(adj, nbh)
+                if c & 1 and succ is not None:
+                    D = _extend(child, nbh, start)
+                    if D is None:
+                        verdicts[canonical_form(child)[1]] = None  # met nowhere else
+                    else:
+                        skipped += 1
+                else:
+                    form = canonical_form(child)[1]
+                    if verdicts.get(form) is not None:
+                        continue
+                    if succ is None:
+                        verdicts[form] = (False, adj)
+                        continue
+                    D = _extend(child, nbh, start)
+                    verdicts[form] = None if D is None else (True, adj)
+                if keep and D is not None:
+                    grown.append((child.adj, D.succ))
+            still_open = []
+            for form in sorted(form for form, verdict in verdicts.items() if verdict is None):
+                deletion = _refuted_deletion(m, form, refuted)
+                if deletion is None:
+                    still_open.append(form)
+                else:
+                    verdicts[form] = (False, tuple(_canonical_masks(m - 1, deletion)))
+            for form, succ in zip(still_open, _full_orientations(m, still_open, pool)):
+                verdicts[form] = (succ is not None, None)
+                if keep and succ is not None:
+                    grown.append((tuple(_canonical_masks(m, form)), succ))
+            if keep:
+                parents, refuted = [], {}
+                for form, (ok, _parent) in verdicts.items():
+                    if not ok:
+                        masks = tuple(_canonical_masks(m, form))
+                        parents.append((masks, None))
+                        refuted.setdefault(tuple(sorted(a.bit_count() for a in masks)), set()).add(form)
+                parents += grown
     return verdicts, skipped
 
 
@@ -742,19 +709,17 @@ def census_non_word_representable(n: int, jobs: int = 1) -> CensusResult:
     deciding them as they are grown (``_grown_verdicts``).
 
     Results are sorted by canonical form, so output is identical across
-    worker counts.  The children counted without a form are all word-
-    representable, so they add to ``examined`` only.
+    worker counts.
     """
     if not 1 <= n <= _BUILTIN_LIMIT:
         raise ValueError(f"census supports 1 <= n <= {_BUILTIN_LIMIT}")
-    if n == 1:
-        return _census_result(1, _searched(1, [0], jobs))
     verdicts, skipped = _grown_verdicts(n, jobs)
     return _census_result(n, {form: ok for form, (ok, _parent) in verdicts.items()}, skipped)
 
 
 def census_from_graph6(lines, jobs: int = 1) -> CensusResult:
-    """Census over an externally supplied graph6 stream (deduplicated).
+    """Census over an externally supplied graph6 stream (deduplicated), a
+    full search per graph.
 
     Blank lines and a bare ``>>graph6<<`` header line are skipped; the
     header may also prefix a graph's line.  Any other line, another format's
@@ -769,11 +734,14 @@ def census_from_graph6(lines, jobs: int = 1) -> CensusResult:
             continue
         G = parse_graph6(line)
         n_seen.add(G.n)
-        forms.add(canonical_form(G))
+        forms.add(canonical_form(G)[1])
     if len(n_seen) > 1:
         raise ValueError("graph6 stream mixes vertex counts")
     n = next(iter(n_seen)) if n_seen else 0
-    return _census_result(n, _searched(n, sorted(bits for _, bits in forms), jobs))
+    forms = sorted(forms)
+    with _pool(jobs) as pool:
+        found = _full_orientations(n, forms, pool)
+    return _census_result(n, {bits: succ is not None for bits, succ in zip(forms, found)})
 
 
 # -- chromatic number --------------------------------------------------

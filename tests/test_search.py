@@ -94,15 +94,15 @@ def census_8():
     grown = []
     parents = {}
     grow = search._grown_verdicts
-    grow_level = search._grown_level
+    level_children = search._level_children
 
-    def recorded(n, level_parents, *rest):
+    def recorded(n, level_parents):
         parents[n] = level_parents
-        return grow_level(n, level_parents, *rest)
+        return level_children(n, level_parents)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "_grown_verdicts", lambda n, jobs: grown.append(grow(n, jobs)) or grown[-1])
-        mp.setattr(search, "_grown_level", recorded)
+        mp.setattr(search, "_level_children", recorded)
         looked_up = _record_lookups(mp)
         result = census_non_word_representable(8)
     return SimpleNamespace(result=result, verdicts=grown[0][0], looked_up=looked_up, parents=parents)
@@ -116,6 +116,7 @@ def fake_executor(monkeypatch):
 
     class FakeExecutor:
         workers = []
+        maps = []
 
         def __init__(self, max_workers):
             self.workers.append(max_workers)
@@ -127,6 +128,7 @@ def fake_executor(monkeypatch):
             return False
 
         def map(self, fn, *iterables, chunksize=1):
+            self.maps.append(fn)
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
@@ -255,7 +257,7 @@ class TestWordSearch:
         for n in range(1, 5):
             for G in enumerate_nonisomorphic(n):
                 for k in range(3):
-                    got = self._deepen(lambda L, c: _search_word(G, k, L, None, c), range(n, 8))
+                    got = self._deepen(lambda L, c: _search_word(G, k, L, L, c), range(n, 8))
                     want = self._deepen(lambda L, c: slow_search_k11_word(G, k, L, c), range(n, 8))
                     assert got == want, (G, k)
 
@@ -719,6 +721,14 @@ class TestCensus:
         assert isinstance(search._pool(64), nullcontext)
         assert FakeExecutor.workers == [3, 2]
 
+    def test_census_1_runs_no_search(self, monkeypatch, fake_executor):
+        # the one-vertex graph is counted without a form: a pool is built,
+        # but it maps nothing, and no search makes a budget
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        budgets = self._record_budgets(monkeypatch)
+        assert census_non_word_representable(1, jobs=2) == search.CensusResult(1, 1, ())
+        assert (fake_executor.workers, fake_executor.maps, budgets) == ([2], [], [])
+
     def test_pool_is_capped_by_the_cpus_this_process_may_use(self, monkeypatch, fake_executor):
         # under taskset or a cpuset, os.cpu_count() still counts every CPU
         monkeypatch.setattr(search.os, "cpu_count", lambda: 8)
@@ -814,6 +824,11 @@ class TestCensus:
         assert [canonical_form(G) for G in r.non_word_representable] == [canonical_form(_w5())]
         r = census_from_graph6([HEADER, write_graph6(_w5()), ""])
         assert (r.examined, len(r.non_word_representable)) == (1, 1)
+
+    def test_census_from_graph6_of_no_graph_and_of_the_empty_graph(self):
+        # "?" is the graph on no vertices, word-representable by the empty word
+        assert census_from_graph6([]) == search.CensusResult(0, 0, ())
+        assert census_from_graph6(["?"]) == search.CensusResult(0, 1, ())
 
     def test_census_from_graph6_rejects_other_headers(self):
         with pytest.raises(ValueError):
