@@ -9,14 +9,12 @@ BudgetExceeded and never conflated with "nonexistent".
 from __future__ import annotations
 
 import os
-from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import combinations
 from typing import Callable, Iterator, Optional, Sequence
 
 from .core import (
-    Graph, Word, _components, _image_mask, _induces_connected, _labels, _refined_classes,
-    canonical_form, iter_mask,
+    Graph, Word, _components, _image_mask, _induces_connected, _labels, canonical_form, iter_mask,
 )
 from . import _kernels
 from .construct import _verified
@@ -147,25 +145,16 @@ def find_k11_representant(
 # -- non-isomorphic enumeration ----------------------------------------
 
 
-@lru_cache(maxsize=16)
-def _bit_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """``pairs[b]``: the vertex pair (i, j), i < j, of bit b (counted from the
-    least significant) in an n-vertex upper-triangle bitstring."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return tuple(reversed(pairs))
-
-
 def _canonical_masks(n: int, bits: int) -> list[int]:
     """Adjacency masks of the graph on n vertices whose packed upper-triangle
-    bitstring (pair (0, 1) most significant) is ``bits``."""
+    bitstring is ``bits``: the pairs in ``combinations`` order, from the top."""
     adj = [0] * n
-    pairs = _bit_pairs(n)
-    while bits:
-        low = bits & -bits
-        bits ^= low
-        i, j = pairs[low.bit_length() - 1]
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
+    bit = 1 << n * (n - 1) // 2
+    for i, j in combinations(range(n), 2):
+        bit >>= 1
+        if bits & bit:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
     return adj
 
 
@@ -185,34 +174,32 @@ def _twin_classes(adj: Sequence[int]) -> list[int]:
     return [sum(1 << u for u, b in enumerate(adj) if b & ~(1 << v) == a & ~(1 << u)) for v, a in enumerate(adj)]
 
 
-def _automorphisms(G: Graph, twins: Sequence[int]) -> list[tuple[int, ...]]:
-    """One automorphism of G per coset of its twin-swap subgroup (the
-    permutations of each of its twin classes ``twins``, as ``_twin_classes``
-    gives them), as image tuples (p[v] is the image of v): the one that maps
-    each twin class onto its image in increasing order.  Every automorphism
-    is exactly one of these followed by a permutation of each twin class.
+def _automorphisms(adj: Sequence[int], twins: Sequence[int]) -> list[tuple[int, ...]]:
+    """One automorphism of the graph with adjacency masks ``adj`` per coset
+    of its twin-swap subgroup (the permutations of each of its twin classes
+    ``twins``, as ``_twin_classes`` gives them), as image tuples (p[v] is
+    the image of v): the one that maps each twin class onto its image in
+    increasing order.  Every automorphism is exactly one of these followed
+    by a permutation of each twin class.
 
-    Images are assigned one vertex at a time, class by class in
-    ``_refined_classes`` order, each class in increasing order: an
-    automorphism preserves the refined colours, so v maps into its own class,
-    and so do its twins.  A vertex with a lower twin maps to the vertex just
-    above its next lower twin's image, in that image's twin class; as an
-    automorphism maps each twin class onto a twin class, this leaves one map
-    per coset.  A partial map is dropped as soon as it breaks an adjacency
-    among the vertices already placed, that is, when the neighbours of v's
-    image among the placed images are not the images of v's placed
-    neighbours.  A map that places every vertex this way preserves every
-    edge and non-edge.
+    Images are assigned one vertex at a time, in order of degree, ties by
+    index, each among the vertices of its degree.  Any colouring that
+    automorphisms preserve would give the same maps, a finer one sooner: the
+    group and the one map per coset picked here depend on the graph alone.
+    Twins have equal degrees, so a vertex's lower twins are placed first; it
+    maps to the vertex just above its next lower twin's image, in that
+    image's twin class, which leaves one map per coset, as an automorphism
+    maps each twin class onto a twin class.  A partial map is dropped as
+    soon as the neighbours of v's image among the placed images are not the
+    images of v's placed neighbours, so a map that places every vertex
+    preserves every edge and non-edge.
     """
-    n = G.n
-    adj = G.adj
-    order = []
-    class_mask = [0] * n
-    for cls in _refined_classes(G):
-        mask = sum(1 << v for v in cls)
-        order += cls
-        for v in cls:
-            class_mask[v] = mask
+    n = len(adj)
+    deg = [a.bit_count() for a in adj]
+    order = sorted(range(n), key=deg.__getitem__)
+    same_degree = [0] * n
+    for v, d in enumerate(deg):
+        same_degree[d] |= 1 << v
     out = []
     perm = [0] * n
 
@@ -228,7 +215,7 @@ def _automorphisms(G: Graph, twins: Sequence[int]) -> list[tuple[int, ...]]:
             above = twins[pu] >> pu + 1 << pu + 1
             free = above & -above
         else:
-            free = class_mask[v] & ~image
+            free = same_degree[deg[v]] & ~image
         while free:
             low = free & -free
             free ^= low
@@ -368,8 +355,8 @@ def _children(n: int, adj: Sequence[int]) -> Iterator[tuple[int, Optional[bytes]
     (``_canonical_bits_upto``): the new vertex n - 1 joined to the mask
     ``nbh``, and None if the new vertex is the child's only canonical
     deletion (``_SOLE``: a sole child), else the child's invariant
-    (``_deletion_rule``'s ``invariant``: a tied child).  H is validated as
-    a ``Graph``; the child is left to the caller (``_grown``).
+    (``_deletion_rule``'s ``invariant``: a tied child).  The child is left
+    to the caller (``_grown``).
 
     Orbits: an automorphism of H extends to an isomorphism of the children
     that fixes the new vertex, so the masks of one orbit give isomorphic
@@ -395,12 +382,11 @@ def _children(n: int, adj: Sequence[int]) -> Iterator[tuple[int, Optional[bytes]
     representatives.  These map each twin class onto its image in
     increasing order, so the image of a twin-canonical mask is
     twin-canonical as it stands."""
-    base = Graph(_labels(n - 1), tuple(adj))
-    twins = _twin_classes(base.adj)
+    twins = _twin_classes(adj)
     identity = tuple(range(n - 1))
     # the identity maps a mask onto itself, which the loop has passed
-    autos = [p for p in _automorphisms(base, twins) if p != identity]
-    keeps, invariant = _deletion_rule(base.adj)
+    autos = [p for p in _automorphisms(adj, twins) if p != identity]
+    keeps, invariant = _deletion_rule(adj)
     masks = [0]  # the twin-canonical masks: the lowest k of each twin class
     for cls in set(twins):
         masks += [m | cls & (2 << v) - 1 for m in masks for v in iter_mask(cls)]
@@ -462,30 +448,22 @@ def _full_orientation(n: int, bits: int) -> Optional[tuple[int, ...]]:
     return None if D is None else D.succ
 
 
-def _full_orientations(n: int, forms: list[int], pool) -> list[Optional[tuple[int, ...]]]:
-    """``_full_orientation`` of each form, in order, in ``pool`` if any."""
-    if pool is None:
-        return [_full_orientation(n, bits) for bits in forms]
-    return list(pool.map(_full_orientation, [n] * len(forms), forms, chunksize=16))
-
-
-def _pool(jobs: int):
-    """A pool of ``jobs`` worker processes, at most one per CPU this process
-    may run on (its affinity mask where the platform has one, else
-    ``os.cpu_count()``), or, for one worker, no pool (None).  Under ``fork``
-    an executor starts all its workers on the first submit, however few
-    tasks there are.  The executor is imported only to build one, as it
-    loads ``multiprocessing``, ``socket``, ``subprocess`` and some 30 other
-    modules, which a process that never builds a pool need not pay for."""
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
+def _full_orientations(n: int, forms: list[int], jobs: int) -> list[Optional[tuple[int, ...]]]:
+    """``_full_orientation`` of each form, in order, in worker processes only
+    when more than one would get a chunk of 16 forms: at most ``jobs``, one
+    per chunk and one per CPU this process may run on (its affinity mask, or
+    ``os.cpu_count()``), as under ``fork`` an executor starts all its
+    workers on the first submit.  The executor is imported only to build
+    one, as it loads ``multiprocessing`` and some 30 other modules."""
     affinity = getattr(os, "sched_getaffinity", None)
-    workers = min(jobs, len(affinity(0)) if affinity else os.cpu_count() or 1)
-    if workers == 1:
-        return nullcontext()
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = min(jobs, cpus, -(-len(forms) // 16))
+    if workers < 2:
+        return [_full_orientation(n, bits) for bits in forms]
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(max_workers=workers)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_full_orientation, [n] * len(forms), forms, chunksize=16))
 
 
 def _census_result(n: int, verdicts: dict[int, bool], skipped: int = 0) -> CensusResult:
@@ -564,8 +542,9 @@ def _extend(child: Graph, nbh: int, start) -> Optional[Orientation]:
 def _refuted_deletion(n: int, form: int, refuted: dict[tuple[int, ...], set[int]]) -> Optional[int]:
     """The form of a connected one-vertex deletion of the graph with
     canonical bits ``form`` on n vertices that ``refuted`` holds ({sorted
-    degree sequence: forms on n - 1 vertices}), or None.  Only a deletion
-    whose degree sequence is a key gets a canonical form.
+    degree sequence: forms on n - 1 vertices}), or None.  Deleting v shifts
+    the mask bits above v down; only a deletion whose degree sequence is a
+    key becomes a ``Graph``, for its canonical form.
 
     Connected deletions suffice.  If G is connected and G - v is
     disconnected and not word-representable, one of its components C is not
@@ -573,15 +552,15 @@ def _refuted_deletion(n: int, form: int, refuted: dict[tuple[int, ...], set[int]
     C + v is connected and misses a vertex of G, so a spanning tree of G
     that extends one of C + v has a leaf w outside C + v: G - w is connected
     and induces C."""
-    G = graph_from_canonical_bits(n, form)
-    adj = G.adj
+    adj = _canonical_masks(n, form)
     every = (1 << n) - 1
     for v in range(n):
         keep = every ^ 1 << v
         degrees = tuple(sorted((a & keep).bit_count() for u, a in enumerate(adj) if u != v))
         candidates = refuted.get(degrees)
         if candidates and _induces_connected(adj, keep):
-            deletion = canonical_form(G.delete_vertex(G.labels[v]))[1]
+            masks = tuple(a & (1 << v) - 1 | a >> v + 1 << v for u, a in enumerate(adj) if u != v)
+            deletion = canonical_form(Graph(_labels(n - 1), masks))[1]
             if deletion in candidates:
                 return deletion
     return None
@@ -646,61 +625,60 @@ def _grown_verdicts(n: int, jobs: int) -> tuple[dict[int, tuple[bool, Optional[t
     canonical masks, which are its representative's.  The forms left, the
     minimal non-word-representable graphs and the word-representable forms
     that no extension decided, get a full search each, ``(verdict, None)``,
-    so a failed extension never counts as a "no".  Only these run in the
-    pool of ``jobs`` workers, so the verdicts do not depend on ``jobs``.
+    so a failed extension never counts as a "no".  Only these may run in
+    worker processes, so the verdicts do not depend on ``jobs``.
     """
     parents = [((0,), (0,))]  # the one-vertex graph, with its empty orientation,
     verdicts, skipped = {}, 1  # counted without a form
     refuted: dict[tuple[int, ...], set[int]] = {}  # {sorted degree sequence: forms}
-    with _pool(jobs) as pool:
-        for m in range(2, n + 1):
-            keep = m < n
-            verdicts, skipped, grown, last = {}, 0, [], None  # verdict None: open
-            every = (1 << m) - 1
-            for c in _level_children(m, parents):
-                i, nbh = c >> m + 1, c >> 1 & every
-                adj, succ = parents[i]
-                if i != last and succ is not None:
-                    desc, anc = _reachability(succ)
-                    start = (*succ, 0), desc + [0], anc + [0]
-                    last = i
-                child = _grown(adj, nbh)
-                if c & 1 and succ is not None:
-                    D = _extend(child, nbh, start)
-                    if D is None:
-                        verdicts[canonical_form(child)[1]] = None  # met nowhere else
-                    else:
-                        skipped += 1
+    for m in range(2, n + 1):
+        keep = m < n
+        verdicts, skipped, grown, last = {}, 0, [], None  # verdict None: open
+        every = (1 << m) - 1
+        for c in _level_children(m, parents):
+            i, nbh = c >> m + 1, c >> 1 & every
+            adj, succ = parents[i]
+            if i != last and succ is not None:
+                desc, anc = _reachability(succ)
+                start = (*succ, 0), desc + [0], anc + [0]
+                last = i
+            child = _grown(adj, nbh)
+            if c & 1 and succ is not None:
+                D = _extend(child, nbh, start)
+                if D is None:
+                    verdicts[canonical_form(child)[1]] = None  # met nowhere else
                 else:
-                    form = canonical_form(child)[1]
-                    if verdicts.get(form) is not None:
-                        continue
-                    if succ is None:
-                        verdicts[form] = (False, adj)
-                        continue
-                    D = _extend(child, nbh, start)
-                    verdicts[form] = None if D is None else (True, adj)
-                if keep and D is not None:
-                    grown.append((child.adj, D.succ))
-            still_open = []
-            for form in sorted(form for form, verdict in verdicts.items() if verdict is None):
-                deletion = _refuted_deletion(m, form, refuted)
-                if deletion is None:
-                    still_open.append(form)
-                else:
-                    verdicts[form] = (False, tuple(_canonical_masks(m - 1, deletion)))
-            for form, succ in zip(still_open, _full_orientations(m, still_open, pool)):
-                verdicts[form] = (succ is not None, None)
-                if keep and succ is not None:
-                    grown.append((tuple(_canonical_masks(m, form)), succ))
-            if keep:
-                parents, refuted = [], {}
-                for form, (ok, _parent) in verdicts.items():
-                    if not ok:
-                        masks = tuple(_canonical_masks(m, form))
-                        parents.append((masks, None))
-                        refuted.setdefault(tuple(sorted(a.bit_count() for a in masks)), set()).add(form)
-                parents += grown
+                    skipped += 1
+            else:
+                form = canonical_form(child)[1]
+                if verdicts.get(form) is not None:
+                    continue
+                if succ is None:
+                    verdicts[form] = (False, adj)
+                    continue
+                D = _extend(child, nbh, start)
+                verdicts[form] = None if D is None else (True, adj)
+            if keep and D is not None:
+                grown.append((child.adj, D.succ))
+        still_open = []
+        for form in sorted(form for form, verdict in verdicts.items() if verdict is None):
+            deletion = _refuted_deletion(m, form, refuted)
+            if deletion is None:
+                still_open.append(form)
+            else:
+                verdicts[form] = (False, tuple(_canonical_masks(m - 1, deletion)))
+        for form, succ in zip(still_open, _full_orientations(m, still_open, jobs)):
+            verdicts[form] = (succ is not None, None)
+            if keep and succ is not None:
+                grown.append((tuple(_canonical_masks(m, form)), succ))
+        if keep:
+            parents, refuted = [], {}
+            for form, (ok, _parent) in verdicts.items():
+                if not ok:
+                    masks = tuple(_canonical_masks(m, form))
+                    parents.append((masks, None))
+                    refuted.setdefault(tuple(sorted(a.bit_count() for a in masks)), set()).add(form)
+            parents += grown
     return verdicts, skipped
 
 
@@ -713,6 +691,8 @@ def census_non_word_representable(n: int, jobs: int = 1) -> CensusResult:
     """
     if not 1 <= n <= _BUILTIN_LIMIT:
         raise ValueError(f"census supports 1 <= n <= {_BUILTIN_LIMIT}")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     verdicts, skipped = _grown_verdicts(n, jobs)
     return _census_result(n, {form: ok for form, (ok, _parent) in verdicts.items()}, skipped)
 
@@ -726,6 +706,8 @@ def census_from_graph6(lines, jobs: int = 1) -> CensusResult:
     header included, must parse as graph6."""
     from .graph6 import HEADER, parse_graph6
 
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     forms = set()
     n_seen = set()
     for line in lines:
@@ -739,8 +721,7 @@ def census_from_graph6(lines, jobs: int = 1) -> CensusResult:
         raise ValueError("graph6 stream mixes vertex counts")
     n = next(iter(n_seen)) if n_seen else 0
     forms = sorted(forms)
-    with _pool(jobs) as pool:
-        found = _full_orientations(n, forms, pool)
+    found = _full_orientations(n, forms, jobs)
     return _census_result(n, {bits: succ is not None for bits, succ in zip(forms, found)})
 
 

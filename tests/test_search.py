@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-from contextlib import nullcontext
 from collections import Counter
 from itertools import chain, permutations
 from pathlib import Path
@@ -24,7 +23,7 @@ from oracles import (
     slow_search_k11_word,
     slow_search_uniform_word,
 )
-from wordrep import _kernels, construct, orient, search
+from wordrep import _kernels, construct, core, orient, search
 from wordrep.construct import ConstructionError
 from wordrep.core import Graph, complete_graph, cycle_graph, empty_graph, iter_mask, path_graph
 from wordrep.graph6 import HEADER, parse_graph6, write_graph6
@@ -110,9 +109,9 @@ def census_8():
 
 @pytest.fixture
 def fake_executor(monkeypatch):
-    """A stand-in for ``ProcessPoolExecutor``, where ``search._pool`` looks
-    it up, that records each ``max_workers`` and maps in-process: no process
-    is started."""
+    """A stand-in for ``ProcessPoolExecutor``, where
+    ``search._full_orientations`` looks it up, that records each
+    ``max_workers`` and maps in-process: no process is started."""
 
     class FakeExecutor:
         workers = []
@@ -430,7 +429,7 @@ class TestEnumeration:
         swaps = [{}]
         for cls in classes:
             swaps = [{**s, **dict(zip(cls, image))} for s in swaps for image in permutations(cls)]
-        reps = _automorphisms(G, twins)
+        reps = _automorphisms(G.adj, twins)
         group = [tuple(s.get(v, v) for v in p) for p in reps for s in swaps]
         assert sorted(group) == every
         assert len(set(group)) == len(group)
@@ -710,56 +709,116 @@ class TestCensus:
 
     def test_pool_has_at_most_one_worker_per_cpu(self, monkeypatch, fake_executor):
         # under fork an executor starts all its workers on the first submit
-        FakeExecutor = fake_executor
+        forms = search._canonical_bits_upto(7)[:100]
+        expected = [search._full_orientation(7, bits) for bits in forms]
         monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        assert census_non_word_representable(6, jobs=64) == census_non_word_representable(6)
-        assert FakeExecutor.workers == [3]
-        with search._pool(2):
-            assert FakeExecutor.workers == [3, 2]
+        assert search._full_orientations(7, forms, 64) == expected
+        assert search._full_orientations(7, forms, 2) == expected
+        assert fake_executor.workers == [3, 2]
         monkeypatch.delattr(search.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(search.os, "cpu_count", lambda: None)
-        assert isinstance(search._pool(64), nullcontext)
-        assert FakeExecutor.workers == [3, 2]
+        assert search._full_orientations(7, forms, 64) == expected
+        assert fake_executor.workers == [3, 2]
+
+    def test_pool_only_when_two_workers_get_a_chunk(self, monkeypatch, fake_executor):
+        # a chunk is 16 forms: 16 forms run in-process, 17 get two workers,
+        # and no pool has more workers than chunks
+        forms = search._canonical_bits_upto(7)
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        for count in (0, 1, 16, 17, 33):
+            expected = [search._full_orientation(7, bits) for bits in forms[:count]]
+            assert search._full_orientations(7, forms[:count], 8) == expected
+        assert fake_executor.workers == [2, 3]
 
     def test_census_1_runs_no_search(self, monkeypatch, fake_executor):
-        # the one-vertex graph is counted without a form: a pool is built,
-        # but it maps nothing, and no search makes a budget
+        # the one-vertex graph is counted without a form: no pool is built,
+        # and no search makes a budget
         monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         budgets = self._record_budgets(monkeypatch)
         assert census_non_word_representable(1, jobs=2) == search.CensusResult(1, 1, ())
-        assert (fake_executor.workers, fake_executor.maps, budgets) == ([2], [], [])
+        assert (fake_executor.workers, fake_executor.maps, budgets) == ([], [], [])
+
+    def test_census_7_builds_one_pool_and_census_6_none(self, monkeypatch, fake_executor):
+        # census 6 leaves 2 forms to a full search on 6 vertices; census 7
+        # the same 2, and 33 on 7 vertices
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert census_non_word_representable(6, jobs=2) == census_non_word_representable(6)
+        assert fake_executor.workers == []
+        assert census_non_word_representable(7, jobs=2) == census_non_word_representable(7)
+        assert fake_executor.workers == [2]
 
     def test_pool_is_capped_by_the_cpus_this_process_may_use(self, monkeypatch, fake_executor):
         # under taskset or a cpuset, os.cpu_count() still counts every CPU
+        forms = search._canonical_bits_upto(7)[:200]
         monkeypatch.setattr(search.os, "cpu_count", lambda: 8)
         monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert isinstance(search._pool(4), nullcontext)
+        search._full_orientations(7, forms, 4)
+        assert fake_executor.workers == []
         monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        with search._pool(4):
-            assert fake_executor.workers == [3]
+        search._full_orientations(7, forms, 4)
+        assert fake_executor.workers == [3]
         # without an affinity mask, the CPU count caps the pool
         monkeypatch.delattr(search.os, "sched_getaffinity")
-        with search._pool(16):
-            assert fake_executor.workers == [3, 8]
+        search._full_orientations(7, forms, 16)
+        assert fake_executor.workers == [3, 8]
 
     def test_one_job_never_loads_the_process_pool(self):
-        # a fresh interpreter: this one may have loaded it for other reasons
+        # a fresh interpreter: this one may have loaded it for other reasons.
+        # Nor does a census whose levels each leave fewer than two chunks of
+        # 16 forms to a full search (none up to 5 vertices), whatever the jobs
         code = "\n".join((
             "import contextlib, io, sys",
             "import wordrep, wordrep.cli",
             "from wordrep import search",
             "assert len(search.census_non_word_representable(6).non_word_representable) == 1",
+            "assert search.census_non_word_representable(5, jobs=2).examined == 21",
             "with contextlib.redirect_stdout(io.StringIO()) as out:",
             "    assert wordrep.cli.main(['census', '6']) == 0",
+            "    assert wordrep.cli.main(['census', '1', '--jobs', '2']) == 0",
             "assert out.getvalue()",
-            "with search._pool(1) as pool:",
-            "    assert pool is None",
             "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))",
         ))
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
         assert run.stdout.splitlines() == ["[]"]
+
+    def test_census_from_graph6_in_a_pool_equals_one_job(self, monkeypatch):
+        # the 112 forms are 7 chunks: a real pool of two workers
+        workers = []
+
+        class Recorded(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        lines = [write_graph6(G) for G in enumerate_nonisomorphic(6, connected_only=True)]
+        expected = census_from_graph6(lines)
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+        assert census_from_graph6(lines, jobs=2) == expected
+        assert workers == [2]
+
+    def test_census_7_builds_graphs_only_where_needed(self, monkeypatch):
+        # parents stay adjacency masks, their automorphisms need no refined
+        # classes, and a lookup builds a Graph only for a deletion whose
+        # form it compares (1,300 Graphs and 303 refinements when each
+        # parent was a Graph with refined classes)
+        counts = Counter()
+        post_init = core.Graph.__post_init__
+        refine = core._refined_classes
+        form = search.canonical_form
+
+        def counted(name, fn):
+            return lambda *args: counts.update([name]) or fn(*args)
+
+        monkeypatch.setattr(core.Graph, "__post_init__", counted("graphs", post_init))
+        monkeypatch.setattr(core, "_refined_classes", counted("refined", refine))
+        monkeypatch.setattr(search, "_refined_classes", counted("refined", refine), raising=False)
+        monkeypatch.setattr(search, "canonical_form", counted("forms", form))
+        assert census_non_word_representable(7).examined == 853
+        assert counts["graphs"] <= 1115
+        assert counts["refined"] == counts["forms"] == 160
 
     def test_grown_verdicts_identical_across_jobs(self):
         assert search._grown_verdicts(7, 2) == search._grown_verdicts(7, 1)
